@@ -44,7 +44,7 @@ def _build_trace():
                                         post.post_id)
         organic.run_day()
         world.clock.advance(DAY)
-    colluding = set(network.token_db) | network.dead_members
+    colluding = set(network.token_db) | network.dead_members.keys()
     organic_users = {u.account_id for u in organic.users}
     return world, colluding, organic_users
 

@@ -44,7 +44,7 @@ def main() -> None:
         organic.run_day()
         world.clock.advance(DAY)
 
-    colluding = set(network.token_db) | network.dead_members
+    colluding = set(network.token_db) | network.dead_members.keys()
     organic_users = {u.account_id for u in organic.users}
 
     # Temporal clustering (the §6.3 result).

@@ -164,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan experiment jobs out over processes")
     bench.add_argument("--baseline", type=str, default=None,
                        help="src dir of a baseline tree to compare "
-                            "against (runs both in subprocesses with "
-                            "PYTHONHASHSEED pinned)")
+                            "against (runs both in subprocesses)")
     bench.add_argument("--repeats", type=int, default=1,
                        help="with --baseline, benchmark each tree this "
                             "many times (interleaved) and keep the best")

@@ -113,12 +113,7 @@ class MemberDirectory:
         return account.account_id
 
 
-# The three journal attributes are deliberately outside the __dict__
-# snapshot (_SHARD_SKIP_FIELDS): adopt_state replays the child's
-# drop journal onto the parent's own dead_members / operation journal,
-# so shipping the raw containers across the process boundary would
-# double-apply every entry.
-class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop_journal/_member_op_journal are journal-replayed by adopt_state, never shipped raw
+class CollusionNetwork:
     """One autoliker service wired into a simulated world."""
 
     def __init__(self, world, profile: CollusionNetworkProfile,
@@ -146,7 +141,9 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         self.token_db: Dict[str, str] = {}
         self._member_list: List[str] = []
         self._member_index: Dict[str, int] = {}
-        self.dead_members: Set[str] = set()
+        # Members whose tokens died, in drop order (a dict used as an
+        # insertion-ordered set: the replenishment shuffle reads it).
+        self.dead_members: Dict[str, None] = {}
         self.member_countries: Dict[str, str] = {}
 
         # Hot-set sampling state (§6.1 adaptation): a sticky working set
@@ -185,16 +182,6 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         self.retry_policy = RetryPolicy()
         self._batch_fail_streak = 0
         self._batch_degraded_day = -1
-        # Drop journal for shard children (see export_state); None means
-        # not recording.
-        self._shard_drop_journal: Optional[List[str]] = None
-        # Membership-op journal for campaign checkpoints: an ordered
-        # record of every ("store", id) / ("drop", id) mutation of
-        # ``dead_members`` since recording began.  A crash-recovery
-        # resume replays it onto the rebuilt base set, reproducing both
-        # the set's *contents* and its *iteration order* (which feeds
-        # the replenishment shuffle) without ever pickling the set.
-        self._member_op_journal: Optional[List[Tuple[str, str]]] = None
 
         # IP health for today.
         self._exhausted_ips: Set[str] = set()
@@ -312,9 +299,7 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
 
     def _store_member(self, account_id: str, token_string: str,
                       country: str) -> None:
-        self.dead_members.discard(account_id)
-        if self._member_op_journal is not None:
-            self._member_op_journal.append(("store", account_id))
+        self.dead_members.pop(account_id, None)
         if account_id not in self.token_db:
             self._member_index[account_id] = len(self._member_list)
             self._member_list.append(account_id)
@@ -331,11 +316,7 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         if last != account_id:
             self._member_list[idx] = last
             self._member_index[last] = idx
-        self.dead_members.add(account_id)
-        if self._member_op_journal is not None:
-            self._member_op_journal.append(("drop", account_id))
-        if self._shard_drop_journal is not None:
-            self._shard_drop_journal.append(account_id)
+        self.dead_members[account_id] = None
 
     def refresh_all_tokens(self) -> int:
         """Re-harvest tokens from every member whose token is no longer
@@ -366,18 +347,11 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
     # Shard transfer (see repro.countermeasures.sharding)
     # ------------------------------------------------------------------
     #: Fields never shipped across the shard process boundary: shared
-    #: subsystems owned by the parent world, immutable wiring, the
-    #: bound-method RNG shortcuts (rebuilt on adoption), and
-    #: ``dead_members`` — a set whose *iteration order* feeds the
-    #: replenishment join order, and which a pickle round-trip would
-    #: silently reorder (the rebuilt set lacks the original's internal
-    #: layout history).  Shard children journal their drops instead and
-    #: the parent replays the adds on its own set object, whose layout
-    #: matches the child's pre-fork.
+    #: subsystems owned by the parent world, immutable wiring, and the
+    #: bound-method RNG shortcuts (rebuilt on adoption).
     _SHARD_SKIP_FIELDS = frozenset((
         "world", "directory", "ip_pool", "app", "profile",
         "comment_dictionary", "_rng_random", "_getrandbits",
-        "dead_members", "_shard_drop_journal", "_member_op_journal",
     ))
 
     def export_state(self) -> dict:
@@ -386,18 +360,11 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
         return {key: value for key, value in self.__dict__.items()
                 if key not in skip}
 
-    def adopt_state(self, state: dict,
-                    dropped: Sequence[str] = ()) -> None:
+    def adopt_state(self, state: dict) -> None:
         """Install :meth:`export_state` output (including the RNG, so
-        the adopted stream continues exactly where the shard left it).
-        ``dropped`` replays the shard's member drops, in order, onto
-        this process's own ``dead_members`` set."""
+        the adopted stream continues exactly where the shard left it)."""
         self.__dict__.update(state)
         self._rng_random, self._getrandbits = hot_draw_bindings(self.rng)
-        for account_id in dropped:
-            self.dead_members.add(account_id)
-            if self._member_op_journal is not None:
-                self._member_op_journal.append(("drop", account_id))
 
     # ------------------------------------------------------------------
     # Sampling
@@ -1327,16 +1294,3 @@ class CollusionNetwork:  # reprolint: disable=RL401 — dead_members/_shard_drop
             if stop:
                 break
         return delivered
-
-    def _binomial(self, n: int, p: float) -> int:
-        if n <= 0 or p <= 0:
-            return 0
-        if p >= 1.0:
-            return n
-        mean = n * p
-        if n > 200 and mean > 5:
-            # Normal approximation keeps daily replenishment O(1) even
-            # for six-figure member pools.
-            std = (n * p * (1.0 - p)) ** 0.5
-            return max(0, min(n, int(round(self.rng.gauss(mean, std)))))
-        return sum(1 for _ in range(n) if self.rng.random() < p)

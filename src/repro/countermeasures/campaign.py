@@ -52,7 +52,6 @@ from repro.detection.synchrotrap import SynchroTrap
 from repro.honeypot.account import HoneypotAccount, create_honeypot
 from repro.honeypot.crawler import TimelineCrawler
 from repro.honeypot.ledger import MilkedTokenLedger
-from repro.perf import PERF
 from repro.sim.clock import DAY, HOUR
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.tracing import TRACER
@@ -467,12 +466,12 @@ class CountermeasureCampaign:
                 and campaign_day >= config.clustering_start_day
                 and (campaign_day - config.clustering_start_day)
                 % config.clustering_interval_days == 0):
-            with PERF.stage("detection"):
+            with TELEMETRY.stages.stage("detection"):
                 outcome = self.clustering.run(self.world.api.log,
                                               self.invalidator,
                                               now=self.world.clock.now())
-            PERF.count("detection.pairs_scored",
-                       outcome.detection.pairs_scored)
+            TELEMETRY.stages.count("detection.pairs_scored",
+                                   outcome.detection.pairs_scored)
             self.clustering_outcomes.append((campaign_day, outcome))
             self._note(campaign_day,
                        f"clustering invalidated "

@@ -12,10 +12,8 @@ format):
 
 Resume protocol.  The campaign world is *rebuilt* deterministically by
 the caller (same seed, same build + pre-campaign sequence), never
-unpickled: several hot structures (``dead_members`` and friends) are
-Python sets whose *iteration order* feeds RNG-visible decisions, and a
-pickle round-trip silently rebuilds their internal layout.  On top of
-the rebuilt base world, ``prepare`` then
+unpickled whole: a checkpoint carries only what campaign days mutated.
+On top of the rebuilt base world, ``prepare`` then
 
 1. opens the journal, truncating any torn tail to the last intact
    record (never silently replayed — the recovery report says exactly
@@ -28,11 +26,10 @@ the rebuilt base world, ``prepare`` then
    byte;
 4. installs the checkpoint overlay: clock, id counters, RNG streams,
    token store, limiter windows, charge counters, fault-injector state,
-   per-network state plus the ordered membership-op journal (replayed
-   onto the rebuilt ``dead_members`` sets, reproducing their layout),
-   the platform delta (new accounts/posts/pages, engagement suffixes on
-   pre-existing objects, activity-log suffixes), shortener analytics
-   and the campaign's own series/ledger/cursors; and
+   per-network state, the platform delta (new accounts/posts/pages,
+   engagement suffixes on pre-existing objects, activity-log suffixes),
+   shortener analytics and the campaign's own series/ledger/cursors;
+   and
 5. discards already-executed scheduler events and hands back the first
    day still to run.
 
@@ -51,7 +48,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.checkpoint import MISSING, CheckpointStore
 from repro.journal.wal import EventJournal, JournalRecovery, SimulatedCrash
@@ -120,10 +117,6 @@ class CampaignCheckpoint:
     faults: Optional[dict]
     #: Per-domain ``CollusionNetwork.export_state()`` payloads.
     networks: Dict[str, dict]
-    #: Per-domain ordered ("store"|"drop", account_id) ops since the
-    #: campaign started; replayed onto the rebuilt ``dead_members``
-    #: sets (which are never pickled — see network._SHARD_SKIP_FIELDS).
-    member_ops: Dict[str, List[Tuple[str, str]]]
     directory: dict
     platform: dict
     shortener: dict
@@ -279,8 +272,6 @@ def capture_checkpoint(campaign, day: int, base: _PlatformMarks,
                 if world.faults is not None else None),
         networks={domain: network.export_state()
                   for domain, network in campaign.networks.items()},
-        member_ops={domain: list(network._member_op_journal or ())
-                    for domain, network in campaign.networks.items()},
         directory={"accounts": list(directory._accounts),
                    "counter": directory._counter},
         platform=_capture_platform(world.platform, base),
@@ -315,13 +306,6 @@ def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
     directory._counter = checkpoint.directory["counter"]
     for domain, network in campaign.networks.items():
         network.adopt_state(checkpoint.networks[domain])
-        ops = [tuple(op) for op in checkpoint.member_ops[domain]]
-        for op, account_id in ops:
-            if op == "drop":
-                network.dead_members.add(account_id)
-            else:
-                network.dead_members.discard(account_id)
-        network._member_op_journal = ops
     _install_shortener(world.shortener, checkpoint.shortener)
     _install_campaign(campaign, checkpoint.campaign)
     if checkpoint.telemetry is not None:
@@ -361,9 +345,6 @@ class CampaignRecovery:
         """Open/create the journal; returns the first day to run."""
         world = campaign.world
         self._base = _platform_marks(world.platform)
-        for network in campaign.networks.values():
-            if network._member_op_journal is None:
-                network._member_op_journal = []
         fingerprint = self._fingerprint(campaign)
         self.store = CheckpointStore(
             os.path.join(self.directory, _CHECKPOINT_DIR))

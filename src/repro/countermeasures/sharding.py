@@ -237,11 +237,6 @@ class ShardDayDelta:
     segments: List[Tuple[int, int, int, int, int, int]]
     windows: dict
     network_states: Dict[str, dict]
-    #: Per-domain member drops in execution order; replayed onto the
-    #: parent's own ``dead_members`` sets (see
-    #: CollusionNetwork._SHARD_SKIP_FIELDS for why the set itself does
-    #: not cross the process boundary).
-    drop_journals: Dict[str, List[str]]
     post_likes: Dict[str, list]
     charge_delta: Dict[str, int]
     likes_delivered: Dict[str, int]
@@ -262,55 +257,37 @@ class ShardDayDelta:
     sanitizer: Optional[SanitizerDelta] = None
 
 
-def _execute_component(campaign, component: Sequence[str], events,
-                       request_posts: Dict[int, str],
-                       crash_after: Optional[int] = None) -> ShardDayDelta:
-    """Run one component's day inside the forked child.
+def _execute_events(campaign, component: Sequence[str], events,
+                    request_posts: Dict[int, str], row0: int,
+                    crash_after: Optional[int] = None):
+    """Execute one component's events in order, slicing what each
+    event appended.
 
-    ``crash_after`` is the child-crash fault decision shipped in from
-    the parent: after executing that many events the child SIGKILLs
-    itself, leaving the supervisor to recover the component.
+    Returns ``(journal, segments, san_segments, likes_delivered)``: the
+    platform activity records the events produced, each event's
+    ``(seq, when, row_lo, row_hi, act_lo, act_hi)`` slice of those
+    records and of the request log beyond ``row0``, each event's
+    ``(seq, when, lo, hi)`` sanitizer capture slice, and the likes
+    delivered per domain.  ``crash_after`` is the child-crash fault
+    decision: after executing that many events the process SIGKILLs
+    itself.
     """
     world = campaign.world
-    api = world.api
-    log = api.log
-    platform = world.platform
-    row0 = len(log)
-    charge_before = dict(api.charge_counters)
-    telemetry_before = (TELEMETRY.export_state()
-                        if TELEMETRY.enabled else None)
-    injector = api.faults
-    fault_snapshot = injector.snapshot() if injector is not None else None
-    sanitizing = SANITIZER.enabled
-    # The parent began capture before the pre-pass, so the fork
-    # inherited an active capture list; the child's own events start at
-    # this mark.
-    san_base = SANITIZER.begin_capture() if sanitizing else 0
-    san_segments: List[Tuple[int, int, int, int]] = []
-    san_lo = san_base
-    journal = platform.activity_log.start_journal()
-    likes_delivered = {domain: 0 for domain in component}
-    # Limiter keys this component owns: its networks' token strings
-    # (snapshotted both before and after the day, so windows of tokens
-    # dropped mid-day still ship home) and their server IPs.
-    owned_tokens = set()
-    owned_ips = set()
-    for domain in component:
-        network = campaign.networks[domain]
-        owned_tokens.update(network.token_db.values())
-        owned_ips.update(network.ip_pool.addresses)
-        network._shard_drop_journal = []
-    segments: List[Tuple[int, int, int, int, int, int]] = []
+    log = world.api.log
     clock = world.clock
-    executed = 0
-    for event in events:
+    sanitizing = SANITIZER.enabled
+    journal = world.platform.activity_log.start_journal()
+    likes_delivered = {domain: 0 for domain in component}
+    segments: List[Tuple[int, int, int, int, int, int]] = []
+    san_segments: List[Tuple[int, int, int, int]] = []
+    for executed, event in enumerate(events):
         if crash_after is not None and executed >= crash_after:
             os.kill(os.getpid(), signal.SIGKILL)
-        # Children replay their slice of the day from its start, which
-        # may sit before the parent's post-creation pre-pass clock;
-        # within the slice timestamps are non-decreasing.  The direct
-        # assignment bypasses advance_to, so the sanitizer's epoch day
-        # is pinned explicitly.
+        # A component replays its slice of the day from its start,
+        # which may sit before the parent's post-creation pre-pass
+        # clock; within the slice timestamps are non-decreasing.  The
+        # direct assignment bypasses advance_to, so the sanitizer's
+        # epoch day is pinned explicitly.
         clock._now = event.when
         if sanitizing:
             SANITIZER.set_day(event.when // DAY)
@@ -332,8 +309,45 @@ def _execute_component(campaign, component: Sequence[str], events,
         if sanitizing:
             san_segments.append((event.seq, event.when, san_lo,
                                  SANITIZER.capture_mark()))
-        executed += 1
-    platform.activity_log.stop_journal()
+    world.platform.activity_log.stop_journal()
+    return journal, segments, san_segments, likes_delivered
+
+
+def _execute_component(campaign, component: Sequence[str], events,
+                       request_posts: Dict[int, str],
+                       crash_after: Optional[int] = None) -> ShardDayDelta:
+    """Run one component's day inside the forked child.
+
+    ``crash_after`` is the child-crash fault decision shipped in from
+    the parent: after executing that many events the child SIGKILLs
+    itself, leaving the supervisor to recover the component.
+    """
+    world = campaign.world
+    api = world.api
+    log = api.log
+    platform = world.platform
+    row0 = len(log)
+    charge_before = dict(api.charge_counters)
+    telemetry_before = (TELEMETRY.export_state()
+                        if TELEMETRY.enabled else None)
+    injector = api.faults
+    fault_snapshot = injector.snapshot() if injector is not None else None
+    # The parent began capture before the pre-pass, so the fork
+    # inherited an active capture list; the child's own events start at
+    # this mark.
+    san_base = SANITIZER.begin_capture() if SANITIZER.enabled else 0
+    # Limiter keys this component owns: its networks' token strings
+    # (snapshotted both before and after the day, so windows of tokens
+    # dropped mid-day still ship home) and their server IPs.
+    owned_tokens = set()
+    owned_ips = set()
+    for domain in component:
+        network = campaign.networks[domain]
+        owned_tokens.update(network.token_db.values())
+        owned_ips.update(network.ip_pool.addresses)
+    journal, segments, san_segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0,
+        crash_after=crash_after)
     for domain in component:
         owned_tokens.update(campaign.networks[domain].token_db.values())
     charge_delta = {
@@ -353,8 +367,6 @@ def _execute_component(campaign, component: Sequence[str], events,
         windows=api.enforcer.export_shard_windows(owned_tokens, owned_ips),
         network_states={domain: campaign.networks[domain].export_state()
                         for domain in component},
-        drop_journals={domain: campaign.networks[domain]._shard_drop_journal
-                       for domain in component},
         post_likes=post_likes,
         charge_delta=charge_delta,
         likes_delivered=likes_delivered,
@@ -478,48 +490,18 @@ def _reexecute_inline(campaign, component, events,
     counts.  Everything else is already in place.
     """
     world = campaign.world
-    api = world.api
-    log = api.log
-    platform = world.platform
+    log = world.api.log
     row0 = len(log)
-    sanitizing = SANITIZER.enabled
     # The parent is still in the sharded day's capture mode, so the
     # re-execution's trace events land on the capture list exactly like
     # a child's would; slicing them per event lets the merge replay
     # them in global order alongside the surviving children's.
-    san_base = SANITIZER.capture_mark() if sanitizing else 0
-    san_segments: List[Tuple[int, int, int, int]] = []
-    san_lo = san_base
-    journal = platform.activity_log.start_journal()
-    likes_delivered = {domain: 0 for domain in component}
-    segments: List[Tuple[int, int, int, int, int, int]] = []
-    clock = world.clock
-    for event in events:
-        clock._now = event.when
-        if sanitizing:
-            SANITIZER.set_day(event.when // DAY)
-            san_lo = SANITIZER.capture_mark()
-        row_lo = len(log) - row0
-        act_lo = len(journal)
-        network = campaign.networks[event.domain]
-        if event.kind == "request":
-            report = network.submit_like_request(
-                campaign.honeypots[event.domain].account_id,
-                request_posts[event.seq])
-            likes_delivered[event.domain] += report.delivered
-        elif event.kind == "serving":
-            network.serve_background_requests(event.count)
-        else:  # pragma: no cover - excluded by plan eligibility
-            raise RuntimeError(f"unshardable event kind {event.kind!r}")
-        segments.append((event.seq, event.when, row_lo, len(log) - row0,
-                         act_lo, len(journal)))
-        if sanitizing:
-            san_segments.append((event.seq, event.when, san_lo,
-                                 SANITIZER.capture_mark()))
-    platform.activity_log.stop_journal()
+    san_base = SANITIZER.capture_mark() if SANITIZER.enabled else 0
+    journal, segments, san_segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0)
     rows = log.export_rows(row0)
     log.truncate(row0)
-    platform.activity_log.rollback(journal)
+    world.platform.activity_log.rollback(journal)
     return ShardDayDelta(
         domains=tuple(component),
         rows=rows,
@@ -527,7 +509,6 @@ def _reexecute_inline(campaign, component, events,
         segments=segments,
         windows={},
         network_states={},
-        drop_journals={domain: [] for domain in component},
         post_likes={},
         charge_delta={},
         likes_delivered=likes_delivered,
@@ -676,8 +657,7 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
         if delta.windows:
             api.enforcer.install_shard_windows(delta.windows)
         for domain, state in delta.network_states.items():
-            campaign.networks[domain].adopt_state(
-                state, dropped=delta.drop_journals[domain])
+            campaign.networks[domain].adopt_state(state)
         for post_id, likes in delta.post_likes.items():
             post = platform.posts[post_id]
             for like in likes:

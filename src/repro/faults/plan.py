@@ -17,8 +17,10 @@ describing *one* failure mode injected into the Graph API data plane:
     then fails through the normal ``invalid_token`` path and the token
     stays dead, as in the §6.2 invalidation countermeasure);
 ``chunk``
-    an all-or-nothing ``execute_batch`` / ``charge_like_batch`` chunk
-    fails wholesale, forcing the caller to degrade to scalar replay;
+    a chunk-sized delivery-wave segment fails wholesale before it
+    opens, tripping the network's circuit breaker: the backoff is served
+    through the scalar path, and a failure streak degrades the network
+    to scalar delivery for the rest of the day;
 ``child_crash``
     a forked shard worker SIGKILLs itself partway through its day — the
     :class:`~repro.countermeasures.sharding.ShardSupervisor` must detect
@@ -286,10 +288,10 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
         return None
 
     def decide_chunk(self, size: int, key: str = "") -> bool:
-        """Whether an all-or-nothing batch of ``size`` requests fails.
+        """Whether a wave segment of ``size`` requests fails wholesale.
 
-        ``key`` names the batching subject (the network domain or the
-        chunk's lead token) so chunk draws shard cleanly with it.
+        ``key`` names the batching subject (the network domain) so chunk
+        draws shard cleanly with it.
         """
         day = self.clock.day()
         if day != self._cached_day:

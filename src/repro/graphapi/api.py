@@ -16,7 +16,7 @@ Every request — successful or not — lands in the :class:`RequestLog`.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphapi.errors import (
     ApiTimeout,
@@ -45,7 +45,6 @@ from repro.oauth.proof import verify_appsecret_proof
 from repro.oauth.scopes import Permission
 from repro.oauth.tokens import AccessToken, TokenStore
 from repro.sim.clock import SimClock
-from repro.socialnet.account import AccountStatus
 from repro.socialnet.errors import SocialNetworkError
 from repro.socialnet.platform import SocialPlatform
 from repro.telemetry.registry import TELEMETRY
@@ -159,203 +158,17 @@ class GraphApi:
         # proceeds and dies through the normal invalid_token machinery.
 
     # ------------------------------------------------------------------
-    # Batched admission fast paths
-    # ------------------------------------------------------------------
-    def execute_batch(
-            self,
-            requests: Sequence[ApiRequest]) -> Optional[List[ApiResponse]]:
-        """Atomically execute a batch of *like* requests.
-
-        The scalar admission pipeline of :meth:`execute` is re-run here
-        in two phases — a pure validation pass (token / proof / scope /
-        AS block / rate-limit verdicts / platform pre-checks, amortized
-        across distinct tokens, scopes, apps and IPs), then a single
-        apply pass (limiter charges, platform writes, log appends in
-        request order).
-
-        All-or-nothing: when every request would succeed, the batch is
-        applied and the responses are returned, leaving byte-identical
-        state to scalar execution.  When *any* request would fail,
-        ``None`` is returned with **no state mutated** — callers fall
-        back to per-request :meth:`execute`, which surfaces individual
-        errors and partial side effects exactly as before.
-        """
-        inj = self.faults
-        if inj is not None and requests and inj.decide_chunk(
-                len(requests), key=requests[0].access_token):
-            return None
-        now = self.clock._now
-        peek = self.tokens.peek
-        apps_get = self.apps.get
-        policy = self.policy
-        resolve = self._resolve_asn
-        posts = self.platform.posts
-        pages = self.platform.pages
-        accounts = self.platform.accounts
-        token_cache = self._charge_token_cache
-        account_ok: Dict[str, bool] = {}
-        batch_liked = set()
-        plan = []
-        for request in requests:
-            action = request.action
-            if action not in LIKE_ACTIONS:
-                return None
-            cached = token_cache.get(request.access_token)
-            if cached is None:
-                token = peek(request.access_token)
-                if token is None:
-                    return None
-                app = apps_get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                token_cache[request.access_token] = (token, app, granted)
-            else:
-                token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return None
-            if app.security.require_app_secret:
-                proof = request.appsecret_proof
-                if proof != app.secret and not verify_appsecret_proof(
-                        app.secret, request.access_token, proof or ""):
-                    return None
-            if not granted:
-                return None
-            asn = resolve(request.source_ip)
-            if (policy.blocked_asns_by_app
-                    and policy.is_as_blocked(app.app_id, asn)):
-                return None
-            # Platform pre-checks: a write that would raise (unknown or
-            # duplicate target, suspended account) must bail out here,
-            # because the scalar path charges limits before performing.
-            if action is ApiAction.LIKE_POST:
-                object_id = str(request.params["post_id"])
-                target = posts.get(object_id)
-            else:
-                object_id = str(request.params["page_id"])
-                target = pages.get(object_id)
-            if target is None:
-                return None
-            active = account_ok.get(token.user_id)
-            if active is None:
-                account = accounts.get(token.user_id)
-                active = (account is not None
-                          and account.status is AccountStatus.ACTIVE)
-                account_ok[token.user_id] = active
-            if not active:
-                return None
-            key = (token.user_id, object_id)
-            if key in batch_liked or target.liked_by(token.user_id):
-                return None
-            batch_liked.add(key)
-            plan.append((request, token, asn, object_id))
-        pairs = [(req.access_token, req.source_ip)
-                 for req, _, _, _ in plan]
-        if self.enforcer.admit_like_batch(pairs, now) is not None:
-            return None
-        like_post = self.platform.like_post
-        like_page = self.platform.like_page
-        append_row = self.log.append_row
-        responses = []
-        for request, token, asn, object_id in plan:
-            if request.action is ApiAction.LIKE_POST:
-                like = like_post(token.user_id, object_id,
-                                 via_app_id=token.app_id,
-                                 source_ip=request.source_ip)
-            else:
-                like = like_page(token.user_id, object_id,
-                                 via_app_id=token.app_id,
-                                 source_ip=request.source_ip)
-            append_row(now, request.action, request.access_token,
-                       token.user_id, token.app_id, object_id,
-                       request.source_ip, asn, "ok")
-            responses.append(ApiResponse(
-                action=request.action,
-                data={"object_id": like.object_id,
-                      "liker_id": like.liker_id}))
-        return responses
-
-    def charge_like_batch(
-            self, entries: Sequence[Tuple[str, Optional[str]]],
-            appsecret_proof: Optional[str] = None) -> bool:
-        """Vectorized :meth:`charge_like` over ``(token, source_ip)``.
-
-        Token validity, proof, scope, ASN and AS-block checks are
-        amortized per distinct token / app / (app, IP); the rate-limit
-        verdicts are computed for the whole batch and then charged in
-        one pass.  Returns ``True`` when every entry was admitted and
-        charged.  All-or-nothing: if any entry would be rejected the
-        method returns ``False`` with **no state mutated**, and callers
-        replay the batch through scalar :meth:`charge_like` calls to get
-        per-entry errors and partial charges.
-        """
-        inj = self.faults
-        if inj is not None and entries and inj.decide_chunk(
-                len(entries), key=entries[0][0]):
-            return False
-        now = self.clock._now
-        peek = self.tokens.peek
-        apps_get = self.apps.get
-        policy = self.policy
-        resolve = self._resolve_asn
-        token_cache = self._charge_token_cache
-        blocked: Dict[Tuple[str, Optional[str]], bool] = {}
-        # A batch almost always spans one application (a network's
-        # members share its app), so memo the proof-requirement lookup.
-        last_app = None
-        proof_ok = False
-        for access_token, source_ip in entries:
-            cached = token_cache.get(access_token)
-            if cached is None:
-                token = peek(access_token)
-                if (token is None or token.invalidated
-                        or token.is_expired(now)):
-                    return False
-                app = apps_get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                token_cache[access_token] = (token, app, granted)
-            else:
-                token, app, granted = cached
-                if token.invalidated or now >= token.expires_at:
-                    return False
-            if app is not last_app:
-                last_app = app
-                proof_ok = (not app.security.require_app_secret
-                            or appsecret_proof == app.secret)
-            if not proof_ok:
-                if not verify_appsecret_proof(app.secret, access_token,
-                                              appsecret_proof or ""):
-                    return False
-            if not granted:
-                return False
-            # AS blocking is off (empty blocklist) until the §6.4
-            # intervention lands; skip the per-entry ASN work entirely.
-            if policy.blocked_asns_by_app:
-                key = (app.app_id, source_ip)
-                verdict = blocked.get(key)
-                if verdict is None:
-                    verdict = policy.is_as_blocked(app.app_id,
-                                                   resolve(source_ip))
-                    blocked[key] = verdict
-                if verdict:
-                    return False
-        if self.enforcer.admit_like_batch(entries, now) is not None:
-            return False
-        self.charge_counters["likes"] += len(entries)
-        return True
-
-    # ------------------------------------------------------------------
     # Wave admission (planned delivery waves; see collusion/network.py)
     # ------------------------------------------------------------------
     def delivery_wave(self, post_id: Optional[str] = None) -> "DeliveryWave":
         """Open a :class:`DeliveryWave` at the current clock instant.
 
-        The wave extends :meth:`execute_batch` / :meth:`charge_like_batch`
-        from all-or-nothing chunks to whole planned delivery rounds:
-        per-entry verdicts with the exact semantics (and, fault-free,
-        the exact byte stream) of :meth:`try_like_post` /
-        :meth:`try_charge_like`, but with token validity, app/proof/
-        scope checks and rate-limit window capacities memoized per wave,
-        and rate-limit charges plus request-log rows applied in bulk
-        when the wave flushes."""
+        A wave covers a whole planned delivery round: per-entry
+        verdicts with the exact semantics (and, fault-free, the exact
+        byte stream) of :meth:`try_like_post` / :meth:`try_charge_like`,
+        but with token validity, app/proof/scope checks and rate-limit
+        window capacities memoized per wave, and rate-limit charges plus
+        request-log rows applied in bulk when the wave flushes."""
         return DeliveryWave(self, post_id)
 
     def _resolve_asn(self, source_ip: Optional[str]) -> Optional[int]:

@@ -293,114 +293,6 @@ class PolicyEnforcer:
         return None
 
     # ------------------------------------------------------------------
-    # Batched admission (all-or-nothing)
-    # ------------------------------------------------------------------
-    def admit_like_batch(self, entries, now: int):
-        """Admit every ``(token, source_ip)`` like, or none of them.
-
-        Counts intra-batch occurrences per key so the verdicts match a
-        sequential admission of the whole batch; each involved limiter
-        key is evicted at most once, and the hits are appended in bulk
-        only after every entry has passed.  Returns ``None`` if the
-        batch was admitted and charged, else the violated limiter name
-        (``"daily"`` / ``"weekly"`` / ``"token"``) with no state
-        recorded.
-        """
-        self._sync()
-        day = self._ip_day_limiter
-        week = self._ip_week_limiter
-        token_limiter = self._token_limiter
-        token_limit = token_limiter.limit
-        ip_counts: Dict[str, int] = {}
-        token_counts: Dict[str, int] = {}
-        day_events: Dict[str, Deque[int]] = {}
-        week_events: Dict[str, Deque[int]] = {}
-        token_events: Dict[str, Deque[int]] = {}
-        if day is None and week is None:
-            # Common case until the §6.4 IP limits land: only the token
-            # budget is live, so skip the per-entry IP bookkeeping.
-            saturated_until = token_limiter._saturated_until
-            all_events = token_limiter._events
-            horizon = now - token_limiter.window_seconds
-            mark_saturated = token_limiter.mark_saturated
-            counts_get = token_counts.get
-            events_get = token_events.get
-            for token, _source_ip in entries:
-                seen = counts_get(token, 0)
-                events = events_get(token)
-                if events is None:
-                    until = saturated_until.get(token)
-                    if until is not None:
-                        if now < until:
-                            return "token"
-                        del saturated_until[token]
-                    events = all_events.get(token)
-                    if events is None:
-                        events = all_events[token] = deque()
-                    else:
-                        while events and events[0] <= horizon:
-                            events.popleft()
-                    token_events[token] = events
-                    if len(events) >= token_limit:
-                        mark_saturated(token, events)
-                if len(events) + seen >= token_limit:
-                    return "token"
-                token_counts[token] = seen + 1
-            for token, count in token_counts.items():
-                token_events[token].extend((now,) * count)
-            return None
-        for token, source_ip in entries:
-            if source_ip is not None:
-                seen = ip_counts.get(source_ip, 0)
-                if day is not None:
-                    events = day_events.get(source_ip)
-                    if events is None:
-                        if day.saturated(source_ip, now):
-                            return "daily"
-                        events = day._evict(source_ip, now)
-                        day_events[source_ip] = events
-                        if len(events) >= day.limit:
-                            day.mark_saturated(source_ip, events)
-                    if len(events) + seen >= day.limit:
-                        return "daily"
-                if week is not None:
-                    events = week_events.get(source_ip)
-                    if events is None:
-                        if week.saturated(source_ip, now):
-                            return "weekly"
-                        events = week._evict(source_ip, now)
-                        week_events[source_ip] = events
-                        if len(events) >= week.limit:
-                            week.mark_saturated(source_ip, events)
-                    if len(events) + seen >= week.limit:
-                        return "weekly"
-                ip_counts[source_ip] = seen + 1
-            seen = token_counts.get(token, 0)
-            events = token_events.get(token)
-            if events is None:
-                if token_limiter.saturated(token, now):
-                    return "token"
-                events = token_limiter._evict(token, now)
-                token_events[token] = events
-                if len(events) >= token_limit:
-                    token_limiter.mark_saturated(token, events)
-            if len(events) + seen >= token_limit:
-                return "token"
-            token_counts[token] = seen + 1
-        # Charge: the deques were evicted at this same ``now``, so bulk
-        # appends land in the exact state sequential hits would produce.
-        if day is not None or week is not None:
-            for source_ip, count in ip_counts.items():
-                hits = (now,) * count
-                if day is not None:
-                    day_events[source_ip].extend(hits)
-                if week is not None:
-                    week_events[source_ip].extend(hits)
-        for token, count in token_counts.items():
-            token_events[token].extend((now,) * count)
-        return None
-
-    # ------------------------------------------------------------------
     # Wave admission (memoized per-(key, wave-timestamp) transitions)
     # ------------------------------------------------------------------
     def like_wave(self, now: int) -> "LikeWaveAdmitter":

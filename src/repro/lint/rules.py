@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding, Severity
 
@@ -260,6 +260,50 @@ class OrderingRule(Rule):
             return True
         return False
 
+    @staticmethod
+    def _self_attr(node: ast.AST) -> Optional[str]:
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            return node.attr
+        return None
+
+    def _set_attributes(self, ctx: ModuleContext) -> Dict[int, Set[str]]:
+        """Per class (keyed by node id): the ``self.X`` attributes the
+        class assigns a set literal or a ``set()``/``frozenset()``
+        call."""
+        out: Dict[int, Set[str]] = {}
+        for cls in ast.walk(ctx.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names: Set[str] = set()
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                if node.value is None or not self._is_unordered(
+                        ctx, node.value):
+                    continue
+                names.update(name for name in map(self._self_attr, targets)
+                              if name is not None)
+            if names:
+                out[id(cls)] = names
+        return out
+
+    def _is_set_attribute(self, ctx: ModuleContext, node: ast.AST,
+                          set_attrs: Dict[int, Set[str]]) -> bool:
+        """``node`` is ``self.X`` and its enclosing class makes X a set."""
+        name = self._self_attr(node)
+        if name is None:
+            return False
+        owner = ctx.parents.get(id(node))
+        while owner is not None and not isinstance(owner, ast.ClassDef):
+            owner = ctx.parents.get(id(owner))
+        return owner is not None and name in set_attrs.get(id(owner), ())
+
     def _in_sorted(self, ctx: ModuleContext, node: ast.AST) -> bool:
         parent = ctx.parents.get(id(node))
         return (isinstance(parent, ast.Call)
@@ -281,8 +325,10 @@ class OrderingRule(Rule):
 
     # -- the pass ------------------------------------------------------
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
+        set_attrs = self._set_attributes(ctx)
         for node in ast.walk(ctx.tree):
-            # set literals / set()/frozenset() calls iterated directly
+            # set literals, set()/frozenset() calls and set-valued
+            # attributes iterated directly
             iters: List[ast.AST] = []
             if isinstance(node, ast.For):
                 iters.append(node.iter)
@@ -302,6 +348,18 @@ class OrderingRule(Rule):
                         self, candidate,
                         "iteration over an unordered set perturbs "
                         "downstream order")
+                elif self._is_set_attribute(ctx, candidate, set_attrs):
+                    # Iterated straight into an order-free reducer
+                    # (sorted, len, ...), a set attribute leaks no order.
+                    consumer = (ctx.parents.get(id(node))
+                                if isinstance(node, ast.comprehension)
+                                else node)
+                    if not self._in_sorted(ctx, consumer):
+                        yield ctx.finding(
+                            self, candidate,
+                            f"iteration over set attribute "
+                            f"self.{candidate.attr} perturbs downstream "
+                            f"order")
             # id()-keyed sorts
             if isinstance(node, ast.Call):
                 is_sort = ((isinstance(node.func, ast.Name)

@@ -24,9 +24,7 @@ rules need:
 
 Summaries are computed to interprocedural convergence by
 :mod:`repro.lint.fixpoint` (SCC-ordered, callees first), so all five
-facts see through arbitrarily deep helper chains.  The historical
-one-level builder is kept as :func:`build_summaries_one_level`
-because the tests pin exactly what depth buys.
+facts see through arbitrarily deep helper chains.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Set
 
-from repro.lint.taint import (
-    TOKEN_PARAM_NAMES,
-    TaintWalker,
-    TokenTaintSpec,
-    attr_chain,
-)
+from repro.lint.taint import attr_chain
 
 #: State-changing methods on the simulated platform.  Reads (feeds,
 #: friend lists, page fan-out) are free; writes must flow through the
@@ -98,36 +91,3 @@ def build_summaries(graph) -> None:
     from repro.lint.fixpoint import build_summaries as _fixpoint
 
     _fixpoint(graph)
-
-
-def build_summaries_one_level(graph) -> None:
-    """The pre-fixpoint builder: every function summarised against an
-    empty table, so helper-of-a-helper flows are invisible.  Kept so
-    tests can pin the flows only the fixpoint catches."""
-    table: Dict[str, FunctionSummary] = {}
-    for qname, fn in graph.functions.items():
-        info = graph.by_path.get(fn.path)
-        if info is None:
-            continue
-        ctx = info.ctx
-        params = fn.params
-        summary = FunctionSummary(qname=qname, params=list(params))
-        spec = TokenTaintSpec()
-        initial = {param: {param} for param in params}
-        walker = TaintWalker(ctx, spec, initial)
-        walker._function = fn
-        walker.walk(fn.node.body)
-        for _node, kind, origins in walker.sink_hits:
-            base_kind = kind.split(":", 1)[0]
-            for origin in origins:
-                if origin in params and origin not in TOKEN_PARAM_NAMES:
-                    summary.param_sink_flows.setdefault(
-                        origin, set()).add(base_kind)
-        summary.taint_through = {
-            origin for origin in walker.return_origins if origin in params
-        }
-        summary.mutates_platform = {
-            call.func.attr for call in platform_mutation_calls(fn.node)
-        }
-        table[qname] = summary
-    graph.summaries = table

@@ -1,12 +1,12 @@
 """Perf instrumentation for the measurement pipeline.
 
 ``StageTimer`` accumulates wall-clock time and event counters per named
-pipeline stage; ``PERF`` is the process-global timer that deeply nested
-code (e.g. the campaign's detection passes) records into without any
-plumbing.  ``repro.perf.bench`` turns the timings into a throughput
-report (``BENCH_PIPELINE.json`` / ``repro bench``).
+pipeline stage; ``TELEMETRY.stages`` is the process-global one that
+deeply nested code (e.g. the campaign's detection passes) records into
+without any plumbing.  ``repro.perf.bench`` turns the timings into a
+throughput report (``BENCH_PIPELINE.json`` / ``repro bench``).
 """
 
-from repro.perf.instrumentation import PERF, StageTimer, paused_gc
+from repro.perf.instrumentation import StageTimer, paused_gc
 
-__all__ = ["PERF", "StageTimer", "paused_gc"]
+__all__ = ["StageTimer", "paused_gc"]

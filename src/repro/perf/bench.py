@@ -5,10 +5,6 @@ Measures wall-clock seconds and events/second for every stage of
 clustering passes), experiments — and emits the ``BENCH_PIPELINE.json``
 payload.  A baseline tree (e.g. a git worktree of an older commit) can
 be benchmarked with the same harness for before/after comparisons.
-
-The simulation is sensitive to string-hash randomisation, so any
-cross-process comparison must pin ``PYTHONHASHSEED``; the subprocess
-runner does this for you (``hashseed`` argument, default ``"0"``).
 """
 
 from __future__ import annotations
@@ -144,7 +140,6 @@ def _payload(scale: float, seed: int, parallel_experiments: bool,
         "scale": scale,
         "seed": seed,
         "python": platform.python_version(),
-        "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
         "parallel_experiments": parallel_experiments,
         "total_seconds": round(total, 4),
         "total_log_rows": total_rows,
@@ -306,13 +301,11 @@ with _stage("experiments"):
 seconds["experiments"] = time.perf_counter() - start
 events["experiments"] = rows2
 
-try:
-    from repro.perf import PERF
-except ImportError:
-    PERF = None
-if PERF is not None and PERF.seconds("detection") > 0:
-    seconds["detection"] = PERF.seconds("detection")
-    events["detection"] = PERF.counters.get("detection.pairs_scored", 0)
+stage_view = getattr(TELEMETRY, "stages", None)
+if stage_view is not None and stage_view.seconds("detection") > 0:
+    seconds["detection"] = stage_view.seconds("detection")
+    events["detection"] = stage_view.counters.get(
+        "detection.pairs_scored", 0)
 
 histograms = {}
 if TELEMETRY is not None:
@@ -337,7 +330,7 @@ print("BENCH_JSON " + json.dumps(
 
 
 def bench_tree(src_dir: str, scale: float = DEFAULT_SCALE,
-               seed: int = DEFAULT_SEED, hashseed: str = "0",
+               seed: int = DEFAULT_SEED,
                parallel_experiments: bool = False,
                milking_days: Optional[int] = None,
                campaign_days: Optional[int] = None,
@@ -346,10 +339,9 @@ def bench_tree(src_dir: str, scale: float = DEFAULT_SCALE,
     """Benchmark the tree rooted at ``src_dir`` in a fresh interpreter.
 
     ``src_dir`` is the directory that contains the ``repro`` package
-    (usually ``<checkout>/src``).  ``PYTHONHASHSEED`` is pinned so two
-    trees see identical simulated workloads.  With ``sanitize`` the
-    reprosan shadow trace records throughout (trees that predate the
-    sanitizer silently skip it).
+    (usually ``<checkout>/src``).  With ``sanitize`` the reprosan
+    shadow trace records throughout (trees that predate the sanitizer
+    silently skip it).
     """
     options = {
         "scale": scale,
@@ -361,7 +353,6 @@ def bench_tree(src_dir: str, scale: float = DEFAULT_SCALE,
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir
-    env["PYTHONHASHSEED"] = hashseed
     result = subprocess.run(
         [sys.executable, "-c", _CHILD_SCRIPT, json.dumps(options)],
         capture_output=True, text=True, env=env, timeout=timeout)
@@ -377,7 +368,6 @@ def bench_tree(src_dir: str, scale: float = DEFAULT_SCALE,
     payload = _payload(scale, seed, parallel_experiments,
                        raw["seconds"], raw["events"], raw["total_rows"],
                        histograms=raw.get("histograms") or None)
-    payload["pythonhashseed"] = hashseed
     payload["src_dir"] = src_dir
     payload["sanitize"] = sanitize
     if raw.get("sanitizer_events") is not None:
@@ -388,7 +378,7 @@ def bench_tree(src_dir: str, scale: float = DEFAULT_SCALE,
 def _best_of(payloads):
     """The payload with the lowest end-to-end wall clock.
 
-    Workloads are deterministic (pinned hashseed), so run-to-run spread
+    Workloads are deterministic per (seed, scale), so run-to-run spread
     is scheduler noise; the minimum is the standard low-noise estimator.
     """
     best = min(payloads, key=lambda p: p["total_seconds"])
@@ -399,7 +389,7 @@ def _best_of(payloads):
 
 def compare_trees(current_src: str, baseline_src: Optional[str],
                   scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
-                  hashseed: str = "0", parallel_experiments: bool = False,
+                  parallel_experiments: bool = False,
                   milking_days: Optional[int] = None,
                   campaign_days: Optional[int] = None,
                   repeats: int = 1,
@@ -413,7 +403,7 @@ def compare_trees(current_src: str, baseline_src: Optional[str],
     """
     if baseline_src:
         validate_baseline(baseline_src)
-    kwargs = dict(scale=scale, seed=seed, hashseed=hashseed,
+    kwargs = dict(scale=scale, seed=seed,
                   parallel_experiments=parallel_experiments,
                   milking_days=milking_days, campaign_days=campaign_days,
                   sanitize=sanitize)
@@ -430,7 +420,6 @@ def compare_trees(current_src: str, baseline_src: Optional[str],
         "meta": {
             "scale": scale,
             "seed": seed,
-            "pythonhashseed": hashseed,
             "milking_days": milking_days,
             "campaign_days": campaign_days,
             "parallel_experiments": parallel_experiments,
@@ -447,7 +436,6 @@ def compare_trees(current_src: str, baseline_src: Optional[str],
 
 
 def sweep_tree(src_dir: str, scales, seed: int = DEFAULT_SEED,
-               hashseed: str = "0",
                milking_days: Optional[int] = None,
                campaign_days: Optional[int] = None,
                repeats: int = 1) -> list:
@@ -462,7 +450,6 @@ def sweep_tree(src_dir: str, scales, seed: int = DEFAULT_SEED,
     entries = []
     for scale in scales:
         runs = [bench_tree(src_dir, scale=scale, seed=seed,
-                           hashseed=hashseed,
                            milking_days=milking_days,
                            campaign_days=campaign_days)
                 for _ in range(max(1, repeats))]

@@ -42,7 +42,7 @@ class StageTimer:
     #: Stage-boundary observers shared by every timer instance —
     #: called as ``listener(name, entering)``.  The telemetry registry
     #: hooks in here to know the current stage, so the hook must fire
-    #: for ad-hoc bench timers as well as the global PERF.
+    #: for ad-hoc bench timers as well as its own stage view.
     listeners: List[Callable[[str, bool], None]] = []
 
     def __init__(self) -> None:
@@ -95,7 +95,3 @@ class StageTimer:
             "counters": dict(self.counters),
         }
 
-
-#: Process-global timer for instrumentation points that sit too deep to
-#: thread a timer through (reset it before benchmarking a run).
-PERF = StageTimer()

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.oauth.redact import redact_token
-from repro.perf.instrumentation import PERF, StageTimer
+from repro.perf.instrumentation import StageTimer
 
 #: A label set, canonicalised: ``(("key", "value"), ...)`` sorted by key.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -74,10 +74,11 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
 
     def __init__(self) -> None:
         self.enabled = False
-        #: Wall-clock stage view — the perf shell's global StageTimer.
+        #: Wall-clock stage view: the StageTimer that deeply nested
+        #: code (e.g. the campaign's detection passes) records into.
         #: One source of truth: the bench harness and the exporters
         #: both read stage seconds from here, never from snapshots.
-        self.stages = PERF
+        self.stages = StageTimer()
         self._counters: Dict[MetricKey, int] = {}
         self._gauges: Dict[MetricKey, int] = {}
         self._hist_bounds: Dict[str, Tuple[int, ...]] = dict(

@@ -6,8 +6,7 @@ Runs the same compressed two-network campaign as
 mid-day SIGKILL (the "pull the power cord" half of the contract) and an
 optional ``torn_tail`` fault plan (the "disk ate the tail" half).
 Prints the request-log digest and resume metadata for the test to
-compare across processes; run with ``PYTHONHASHSEED=0`` so set layouts
-agree between the reference and resumed runs.
+compare across processes.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 by a journal-tail fault) and resumed must reproduce the byte-identical
 request-log digest of an uninterrupted run.
 
-Each scenario runs ``resume_driver.py`` in subprocesses with
-``PYTHONHASHSEED=0`` — real process death, a real journal directory on
-disk, and digest comparison across process boundaries.
+Each scenario runs ``resume_driver.py`` in subprocesses — real process
+death, a real journal directory on disk, and digest comparison across
+process boundaries.  The hash seed is left to the environment, except
+where a test pins two different ones to prove it does not matter.
 """
 
 from __future__ import annotations
@@ -21,17 +22,14 @@ DRIVER = pathlib.Path(__file__).parent / "resume_driver.py"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _env():
+def _run_driver(*args, hashseed=None, timeout=600):
     env = dict(os.environ)
-    env["PYTHONHASHSEED"] = "0"
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _run_driver(*args, timeout=600):
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
         [sys.executable, str(DRIVER), *map(str, args)],
-        capture_output=True, text=True, env=_env(), timeout=timeout)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def _parse(stdout):
@@ -162,3 +160,32 @@ def test_fresh_run_over_existing_journal_starts_from_day_one(tmp_path,
     parsed = _parse(again.stdout)
     assert parsed["resumed_from"] == "None"
     assert parsed["digest"] == reference["digest"]
+
+
+def test_runs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The (seed, scale, config) triple alone defines a run: two string
+    hash seeds give the same request log, metrics and shadow trace, and
+    a run SIGKILLed under one hash seed and resumed under another
+    converges to the same digest."""
+    runs = {}
+    for hashseed in (1, 2):
+        result = _run_driver("--sanitize", tmp_path / f"trace-{hashseed}",
+                             hashseed=hashseed)
+        assert result.returncode == 0, result.stderr[-2000:]
+        runs[hashseed] = _parse(result.stdout)
+    for key in ("digest", "rows", "telemetry_fingerprint",
+                "sanitizer_fingerprint"):
+        assert runs[1][key] == runs[2][key], key
+
+    journal = tmp_path / "journal"
+    crashed = _run_driver("--journal", journal, "--kill-day", 6,
+                          hashseed=1)
+    assert crashed.returncode == -signal.SIGKILL, (
+        f"expected SIGKILL death, got rc={crashed.returncode}: "
+        f"{crashed.stderr[-2000:]}")
+    resumed = _run_driver("--journal", journal, hashseed=2)
+    assert resumed.returncode == 0, resumed.stderr[-2000:]
+    parsed = _parse(resumed.stdout)
+    assert parsed["resumed_from"] == "6"
+    assert parsed["digest"] == runs[1]["digest"]
+    assert parsed["rows"] == runs[1]["rows"]

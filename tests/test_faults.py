@@ -8,6 +8,8 @@ import hashlib
 
 import pytest
 
+from repro.apps.catalog import AppCatalog
+from repro.collusion.ecosystem import build_ecosystem
 from repro.core.config import StudyConfig
 from repro.core.world import World
 from repro.experiments import runner
@@ -19,7 +21,6 @@ from repro.faults.plan import (
     transient_plan,
 )
 from repro.graphapi.errors import ApiTimeout, TransientApiError
-from repro.graphapi.request import ApiAction, ApiRequest
 from repro.oauth.apps import AppSecuritySettings
 from repro.oauth.errors import InvalidTokenError
 from repro.oauth.scopes import PermissionScope
@@ -159,13 +160,32 @@ def test_invalidate_token_fault_kills_token_mid_flight():
 
 
 def test_chunk_fault_fails_whole_batch():
+    """A firing chunk rule fails a whole delivery-wave segment before it
+    opens: no DeliveryWave is created, the circuit breaker serves the
+    entries through the scalar path, and the deliveries still land."""
     plan = FaultPlan((FaultRule(kind="chunk", probability=1.0),))
-    world, post, token = _world_with_plan(plan)
-    requests = [ApiRequest(ApiAction.LIKE_POST, token,
-                           {"post_id": post.post_id})]
-    assert world.api.execute_batch(requests) is None
-    # The failed batch performed nothing.
-    assert not world.platform.get_post(post.post_id).likes
+    world = World(StudyConfig(scale=0.002, seed=19, fault_plan=plan))
+    AppCatalog(world.apps, world.rng.stream("catalog"), tail_apps=0).build()
+    network = build_ecosystem(world, network_limit=2).network(
+        "official-liker.net")
+    opened = []
+    delivery_wave = world.api.delivery_wave
+
+    def counting_delivery_wave(post_id=None):
+        opened.append(post_id)
+        return delivery_wave(post_id)
+
+    world.api.delivery_wave = counting_delivery_wave
+    honeypot = world.platform.register_account("HP", is_honeypot=True)
+    network.join(honeypot.account_id)
+    post = world.platform.create_post(honeypot.account_id, "x")
+    report = network.submit_like_request(honeypot.account_id, post.post_id)
+    served = network.serve_background_requests(3)
+    assert opened == []
+    assert world.faults.counters["chunk"] >= 2
+    assert report.delivered == network.profile.likes_per_request
+    assert world.platform.get_post(post.post_id).like_count == report.delivered
+    assert served > 0
 
 
 def test_try_like_post_returns_transient_code():

@@ -39,7 +39,7 @@ def mixed_traffic():
                                         post.post_id)
         organic.run_day()
         w.clock.advance(DAY)
-    colluding_users = set(network.token_db) | network.dead_members
+    colluding_users = set(network.token_db) | network.dead_members.keys()
     organic_users = {u.account_id for u in organic.users}
     return w, colluding_users, organic_users
 

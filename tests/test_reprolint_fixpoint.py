@@ -7,7 +7,6 @@ from pathlib import Path
 from repro.lint import lint_source
 from repro.lint.graph import ProjectGraph
 from repro.lint.rules import ModuleContext
-from repro.lint.summaries import build_summaries_one_level
 
 DATA = (Path(__file__).resolve().parent / "data" / "reprolint" /
         "taint")
@@ -44,17 +43,11 @@ def test_two_hop_fixture_pair():
 
 
 def test_fixpoint_beats_one_level_on_the_two_hop_chain():
-    """Pinned: the old single pass leaves describe() summaryless about
-    fmt() (defined later in the file), so the chain is invisible; the
-    fixpoint iterates to convergence and carries it."""
-    source = fixture_source("rl101_two_hop.py")
-    deep = graph_of(source)
+    """Pinned: describe() calls fmt(), which is defined later in the
+    file, so a single pass in definition order would see no summary for
+    it; the fixpoint iterates to convergence and carries the chain."""
+    deep = graph_of(fixture_source("rl101_two_hop.py"))
     assert summary(deep, ".describe").taint_through == {"value"}
-
-    shallow = graph_of(source)
-    shallow.summaries = {}
-    build_summaries_one_level(shallow)
-    assert summary(shallow, ".describe").taint_through == set()
 
 
 # ----------------------------------------------------------------------

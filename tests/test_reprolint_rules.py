@@ -1,10 +1,13 @@
 """Per-rule unit tests for the reprolint analyzers (RL001-RL005)."""
 
 import textwrap
+from pathlib import Path
 
 from repro.lint import lint_source
 from repro.lint.findings import Severity
 from repro.lint.rules import DEFAULT_ALLOWLIST
+
+FIXTURES = Path(__file__).resolve().parent / "data" / "reprolint"
 
 
 def rules_of(source, path="repro/module.py", allowlist=None):
@@ -157,6 +160,36 @@ def test_rl003_set_comprehension_source_flagged():
         def f(xs):
             return [x for x in set(xs)]
     """) == ["RL003"]
+
+
+def test_rl003_flags_set_valued_attribute_iteration():
+    source = (FIXTURES / "violations" / "rl003_set_attribute.py"
+              ).read_text(encoding="utf-8")
+    findings = lint_source(source, path="repro/module.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("RL003", 14), ("RL003", 19), ("RL003", 21)]
+    assert "self.dead" in findings[0].message
+
+
+def test_rl003_accepts_ordered_and_reduced_attributes():
+    source = (FIXTURES / "clean" / "rl003_ordered_attribute.py"
+              ).read_text(encoding="utf-8")
+    assert lint_source(source, path="repro/module.py") == []
+
+
+def test_rl003_set_attribute_is_scoped_to_its_class():
+    assert rules_of("""
+        class A:
+            def __init__(self):
+                self.members = set()
+
+        class B:
+            def __init__(self, members):
+                self.members = members
+
+            def walk(self, other):
+                return list(self.members) + list(other.members)
+    """) == []
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,25 @@ def test_rl301_pragmas_are_load_bearing():
                        path="repro/collusion/ownership.py") == []
 
 
+def test_rl003_flags_a_set_valued_dead_members():
+    """Reverting ``CollusionNetwork.dead_members`` to a set makes RL003
+    flag both places that iterate it: the token refresh and the
+    replenishment shuffle."""
+    from repro.lint import lint_source
+
+    path = "repro/collusion/network.py"
+    source = (PACKAGE / "collusion" / "network.py").read_text(
+        encoding="utf-8")
+    reverted = source.replace(
+        "self.dead_members: Dict[str, None] = {}",
+        "self.dead_members: Set[str] = set()")
+    assert reverted != source
+    assert lint_source(source, path=path) == []
+    findings = lint_source(reverted, path=path)
+    assert [f.rule for f in findings] == ["RL003", "RL003"]
+    assert all("list(self.dead_members)" in f.snippet for f in findings)
+
+
 def test_token_redaction_in_api_is_load_bearing():
     """Undoing the redact_token() routing in graphapi/api.py brings the
     RL102 token-leak findings straight back."""

@@ -2,8 +2,8 @@
 """Benchmark the measurement pipeline and write BENCH_PIPELINE.json.
 
 Runs ``run_full_study`` stage by stage (build, milking, campaign,
-detection, experiments) in a fresh interpreter with ``PYTHONHASHSEED``
-pinned, records wall-clock seconds and events/second per stage, and —
+detection, experiments) in a fresh interpreter, records wall-clock
+seconds and events/second per stage, and —
 when ``--baseline`` points at another checkout's ``src`` directory
 (e.g. a git worktree of the pre-optimisation commit) — benchmarks both
 trees with the identical workload and reports the end-to-end speedup.
@@ -47,9 +47,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=bench.DEFAULT_SEED)
     parser.add_argument("--milking-days", type=int, default=None)
     parser.add_argument("--campaign-days", type=int, default=None)
-    parser.add_argument("--hashseed", type=str, default="0",
-                        help="PYTHONHASHSEED for the benchmark "
-                             "subprocesses (default 0)")
     parser.add_argument("--parallel-experiments", action="store_true")
     parser.add_argument("--repeats", type=int, default=1,
                         help="benchmark each tree this many times "
@@ -90,7 +87,7 @@ def main(argv=None) -> int:
     try:
         document = bench.compare_trees(
             current_src=SRC_DIR, baseline_src=args.baseline,
-            scale=args.scale, seed=args.seed, hashseed=args.hashseed,
+            scale=args.scale, seed=args.seed,
             parallel_experiments=args.parallel_experiments,
             milking_days=args.milking_days,
             campaign_days=args.campaign_days,
@@ -102,14 +99,14 @@ def main(argv=None) -> int:
     if args.sweep:
         scales = [float(token) for token in args.sweep.split(",") if token]
         document["sweep"] = bench.sweep_tree(
-            SRC_DIR, scales, seed=args.seed, hashseed=args.hashseed,
+            SRC_DIR, scales, seed=args.seed,
             milking_days=args.milking_days,
             campaign_days=args.campaign_days, repeats=args.repeats)
 
     if args.sanitize:
         document["sanitizer"] = bench.bench_sanitizer(
             SRC_DIR, document["current"], repeats=args.repeats,
-            scale=args.scale, seed=args.seed, hashseed=args.hashseed,
+            scale=args.scale, seed=args.seed,
             parallel_experiments=args.parallel_experiments,
             milking_days=args.milking_days,
             campaign_days=args.campaign_days)
