@@ -112,6 +112,13 @@ class MemberDirectory:
         self._accounts.append(account.account_id)
         return account.account_id
 
+    def export_state(self) -> dict:
+        return {"accounts": list(self._accounts), "counter": self._counter}
+
+    def install_state(self, state: dict) -> None:
+        self._accounts = list(state["accounts"])
+        self._counter = state["counter"]
+
 
 class CollusionNetwork:
     """One autoliker service wired into a simulated world."""
@@ -344,11 +351,11 @@ class CollusionNetwork:
         return self.member_count()
 
     # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
+    # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    #: Fields never shipped across the shard process boundary: shared
-    #: subsystems owned by the parent world, immutable wiring, and the
-    #: bound-method RNG shortcuts (rebuilt on adoption).
+    #: Fields never transferred: shared subsystems owned by the world,
+    #: immutable wiring, and the bound-method RNG shortcuts (rebuilt on
+    #: install).
     _SHARD_SKIP_FIELDS = frozenset((
         "world", "directory", "ip_pool", "app", "profile",
         "comment_dictionary", "_rng_random", "_getrandbits",
@@ -360,9 +367,10 @@ class CollusionNetwork:
         return {key: value for key, value in self.__dict__.items()
                 if key not in skip}
 
-    def adopt_state(self, state: dict) -> None:
+    def install_state(self, state: dict) -> None:
         """Install :meth:`export_state` output (including the RNG, so
-        the adopted stream continues exactly where the shard left it)."""
+        the installed stream continues exactly where the exporter left
+        it)."""
         self.__dict__.update(state)
         self._rng_random, self._getrandbits = hot_draw_bindings(self.rng)
 

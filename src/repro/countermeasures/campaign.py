@@ -52,6 +52,7 @@ from repro.detection.synchrotrap import SynchroTrap
 from repro.honeypot.account import HoneypotAccount, create_honeypot
 from repro.honeypot.crawler import TimelineCrawler
 from repro.honeypot.ledger import MilkedTokenLedger
+from repro.sanitizer.trace import SANITIZER
 from repro.sim.clock import DAY, HOUR
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.tracing import TRACER
@@ -262,6 +263,72 @@ class CountermeasureCampaign:
             resumed_from_day=(recovery.resumed_from_day
                               if recovery is not None else None),
         )
+
+    # ------------------------------------------------------------------
+    # State transfer (shard deltas and day checkpoints)
+    # ------------------------------------------------------------------
+    def state_parts(self) -> Dict[str, object]:
+        """Every stateful subsystem a campaign day mutates, by name, in
+        install order.
+
+        Each part has ``export_state()``/``install_state(state)``; the
+        additive ones (``api``, ``faults``, ``telemetry``) also have
+        ``export_delta(base)``/``apply_delta(delta)``, where ``base`` is
+        an earlier ``export_state()`` of the same part.  A day
+        checkpoint carries every part's state; a shard child ships its
+        component's states plus the additive parts' deltas.  Disabled
+        planes and an absent fault injector are left out.
+        """
+        world = self.world
+        parts: Dict[str, object] = {
+            "ids": world.ids,
+            "rng": world.rng,
+            "tokens": world.tokens,
+            "enforcer": world.api.enforcer,
+            "api": world.api,
+        }
+        if world.faults is not None:
+            parts["faults"] = world.faults
+        parts["directory"] = self.ecosystem.directory
+        for domain, network in self.networks.items():
+            parts[f"network:{domain}"] = network
+        parts["shortener"] = world.shortener
+        parts["ledger"] = self.ledger
+        parts["crawler"] = self.crawler
+        parts["campaign"] = self
+        if TELEMETRY.enabled:
+            parts["telemetry"] = TELEMETRY
+        if SANITIZER.enabled:
+            parts["sanitizer"] = SANITIZER
+        return parts
+
+    def export_state(self) -> dict:
+        """The campaign's own series, intervention log, clustering
+        outcomes, invalidation total and honeypot post lists."""
+        return {
+            "series": {domain: (list(series.posts_per_day),
+                                list(series.likes_per_day))
+                       for domain, series in self.series.items()},
+            "interventions": list(self.interventions),
+            "clustering_outcomes": list(self.clustering_outcomes),
+            "total_invalidated": self.invalidator.total_invalidated,
+            "honeypots": {domain: (list(h.like_post_ids),
+                                   list(h.comment_post_ids))
+                          for domain, h in self.honeypots.items()},
+        }
+
+    def install_state(self, state: dict) -> None:
+        for domain, (posts, likes) in state["series"].items():
+            series = self.series[domain]
+            series.posts_per_day = list(posts)
+            series.likes_per_day = list(likes)
+        self.interventions[:] = state["interventions"]
+        self.clustering_outcomes[:] = state["clustering_outcomes"]
+        self.invalidator.total_invalidated = state["total_invalidated"]
+        for domain, (like_ids, comment_ids) in state["honeypots"].items():
+            honeypot = self.honeypots[domain]
+            honeypot.like_post_ids[:] = like_ids
+            honeypot.comment_post_ids[:] = comment_ids
 
     # ------------------------------------------------------------------
     def _schedule_outages(self) -> None:

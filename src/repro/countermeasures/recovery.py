@@ -24,11 +24,12 @@ On top of the rebuilt base world, ``prepare`` then
    is skipped);
 3. replays the journal's rows back into the request log, byte for
    byte;
-4. installs the checkpoint overlay: clock, id counters, RNG streams,
-   token store, limiter windows, charge counters, fault-injector state,
-   per-network state, the platform delta (new accounts/posts/pages,
-   engagement suffixes on pre-existing objects, activity-log suffixes),
-   shortener analytics and the campaign's own series/ledger/cursors;
+4. installs the checkpoint overlay: the clock, the platform's growth
+   since the campaign-start mark (new accounts/posts/pages, engagement
+   suffixes on pre-existing objects, activity-log suffixes), then every
+   entry of :meth:`CountermeasureCampaign.state_parts` in table order
+   (id counters, RNG streams, tokens, limiter windows, ..., the
+   campaign's own series, the telemetry registry and shadow trace);
    and
 5. discards already-executed scheduler events and hands back the first
    day still to run.
@@ -48,12 +49,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.experiments.checkpoint import MISSING, CheckpointStore
 from repro.journal.wal import EventJournal, JournalRecovery, SimulatedCrash
-from repro.sanitizer.trace import SANITIZER
-from repro.telemetry.registry import TELEMETRY
 
 #: Subdirectory of the journal holding the per-day checkpoint pickles.
 _CHECKPOINT_DIR = "checkpoints"
@@ -68,219 +67,38 @@ class RecoveryError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Base marks: platform sizes at campaign start, recomputed (not stored)
-# on resume — the rebuilt world reproduces them exactly.
-# ----------------------------------------------------------------------
-@dataclass
-class _PlatformMarks:
-    """Sizes of every platform registry when recording began."""
-
-    accounts: int
-    posts: int
-    pages: int
-    post_marks: Dict[str, Tuple[int, int]]
-    page_marks: Dict[str, int]
-    activity: Dict[str, int]
-
-
-def _platform_marks(platform) -> _PlatformMarks:
-    return _PlatformMarks(
-        accounts=len(platform.accounts),
-        posts=len(platform.posts),
-        pages=len(platform.pages),
-        post_marks={post_id: (len(post.likes), len(post.comments))
-                    for post_id, post in platform.posts.items()},
-        page_marks={page_id: len(page.likes)
-                    for page_id, page in platform.pages.items()},
-        activity={actor: len(records) for actor, records
-                  in platform.activity_log._by_actor.items()},
-    )
-
-
-# ----------------------------------------------------------------------
 # The checkpoint payload
 # ----------------------------------------------------------------------
 @dataclass
 class CampaignCheckpoint:
-    """Everything one campaign day mutated, as of the day boundary."""
+    """The state of every registered part at a day boundary."""
 
     day: int
     clock: int
     #: Journal record count through this day — the coverage handshake
     #: that pairs a checkpoint with a (possibly truncated) journal.
     journal_records: int
-    ids: Dict[str, int]
-    rng_states: Dict[str, tuple]
-    tokens: dict
-    enforcer: dict
-    charge_counters: Dict[str, int]
-    faults: Optional[dict]
-    #: Per-domain ``CollusionNetwork.export_state()`` payloads.
-    networks: Dict[str, dict]
-    directory: dict
+    #: ``export_state()`` of every ``campaign.state_parts()`` entry.
+    #: The shadow trace's export folds pending bytes, which is
+    #: digest-neutral here because the checkpoint sits at a day
+    #: boundary (see SanitizerTrace._fold).
+    parts: Dict[str, object]
+    #: ``SocialPlatform.export_delta`` against the campaign-start mark:
+    #: the platform's full state is the built world a resume rebuilds.
     platform: dict
-    shortener: dict
-    campaign: dict
-    #: ``TELEMETRY.export_state()`` payload; installed wholesale on
-    #: resume so the recovered run's metrics converge on the
-    #: uninterrupted reference.  None when telemetry is disabled.
-    telemetry: Optional[dict]
-    #: ``SANITIZER.export_state()`` payload; installed wholesale on
-    #: resume (replacing the rebuild's re-recorded trace) so a resumed
-    #: run's shadow trace converges on the uninterrupted reference.
-    #: The export's chain fold is digest-neutral here because the
-    #: checkpoint sits at a day boundary (see SanitizerTrace._fold).
-    #: None when the sanitizer is disabled.
-    sanitizer: Optional[dict] = None
 
 
-def _capture_platform(platform, base: _PlatformMarks) -> dict:
-    """The platform delta beyond the campaign-start base marks.
-
-    Registries are insertion-ordered dicts, so "everything beyond the
-    base count" is a stable slice; engagement on pre-existing objects
-    ships as per-object suffixes.
-    """
-    accounts = list(platform.accounts.values())
-    posts = list(platform.posts.values())
-    pages = list(platform.pages.values())
-    touched_posts = []
-    for post_id, (n_likes, n_comments) in base.post_marks.items():
-        post = platform.posts[post_id]
-        if len(post.likes) > n_likes or len(post.comments) > n_comments:
-            touched_posts.append((post_id, post.likes[n_likes:],
-                                  post.comments[n_comments:]))
-    touched_pages = []
-    for page_id, n_likes in base.page_marks.items():
-        page = platform.pages[page_id]
-        if len(page.likes) > n_likes:
-            touched_pages.append((page_id, page.likes[n_likes:]))
-    activity = {}
-    for actor, records in platform.activity_log._by_actor.items():
-        seen = base.activity.get(actor, 0)
-        if len(records) > seen:
-            activity[actor] = records[seen:]
-    return {
-        "new_accounts": accounts[base.accounts:],
-        "new_posts": posts[base.posts:],
-        "new_pages": pages[base.pages:],
-        "touched_posts": touched_posts,
-        "touched_pages": touched_pages,
-        "activity": activity,
-    }
-
-
-def _install_platform(platform, delta: dict) -> None:
-    for account in delta["new_accounts"]:
-        platform.accounts[account.account_id] = account
-    for post in delta["new_posts"]:
-        platform.posts[post.post_id] = post
-        platform._posts_by_author.setdefault(post.author_id,
-                                             []).append(post)
-    for page in delta["new_pages"]:
-        platform.pages[page.page_id] = page
-    for post_id, likes, comments in delta["touched_posts"]:
-        post = platform.posts[post_id]
-        for like in likes:
-            post.add_like(like)
-        for comment in comments:
-            post.add_comment(comment)
-    for page_id, likes in delta["touched_pages"]:
-        page = platform.pages[page_id]
-        for like in likes:
-            page.add_like(like)
-    activity_log = platform.activity_log
-    for records in delta["activity"].values():
-        for record in records:
-            activity_log.record(record)
-
-
-def _capture_shortener(shortener) -> dict:
-    return {slug: (url.click_count, dict(url.clicks_by_country),
-                   dict(url.clicks_by_referrer), dict(url.clicks_by_day))
-            for slug, url in shortener._by_slug.items()}
-
-
-def _install_shortener(shortener, state: dict) -> None:
-    for slug, (count, by_country, by_referrer, by_day) in state.items():
-        url = shortener._by_slug.get(slug)
-        if url is None:  # pragma: no cover - defensive
-            continue
-        url.click_count = count
-        url.clicks_by_country = dict(by_country)
-        url.clicks_by_referrer = dict(by_referrer)
-        url.clicks_by_day = dict(by_day)
-
-
-def _capture_campaign(campaign) -> dict:
-    ledger = campaign.ledger
-    crawler = campaign.crawler
-    return {
-        "series": {domain: (list(series.posts_per_day),
-                            list(series.likes_per_day))
-                   for domain, series in campaign.series.items()},
-        "interventions": list(campaign.interventions),
-        "clustering_outcomes": list(campaign.clustering_outcomes),
-        "total_invalidated": campaign.invalidator.total_invalidated,
-        "ledger": (ledger._observations, ledger._new_by_day,
-                   ledger._seen_by_day),
-        "crawler": (dict(crawler._like_cursor),
-                    dict(crawler._comment_cursor)),
-        "honeypots": {domain: (list(h.like_post_ids),
-                               list(h.comment_post_ids))
-                      for domain, h in campaign.honeypots.items()},
-    }
-
-
-def _install_campaign(campaign, state: dict) -> None:
-    for domain, (posts, likes) in state["series"].items():
-        series = campaign.series[domain]
-        series.posts_per_day = list(posts)
-        series.likes_per_day = list(likes)
-    campaign.interventions[:] = state["interventions"]
-    campaign.clustering_outcomes[:] = state["clustering_outcomes"]
-    campaign.invalidator.total_invalidated = state["total_invalidated"]
-    ledger = campaign.ledger
-    observations, new_by_day, seen_by_day = state["ledger"]
-    ledger._observations = observations
-    ledger._new_by_day = new_by_day
-    ledger._seen_by_day = seen_by_day
-    like_cursor, comment_cursor = state["crawler"]
-    campaign.crawler._like_cursor = dict(like_cursor)
-    campaign.crawler._comment_cursor = dict(comment_cursor)
-    for domain, (like_ids, comment_ids) in state["honeypots"].items():
-        honeypot = campaign.honeypots[domain]
-        honeypot.like_post_ids[:] = like_ids
-        honeypot.comment_post_ids[:] = comment_ids
-
-
-def capture_checkpoint(campaign, day: int, base: _PlatformMarks,
+def capture_checkpoint(campaign, day: int, base: dict,
                        journal_records: int) -> CampaignCheckpoint:
-    """Snapshot everything campaign days 1..``day`` mutated."""
+    """Snapshot every part campaign days 1..``day`` mutated."""
     world = campaign.world
-    directory = next(iter(campaign.networks.values())).directory
     return CampaignCheckpoint(
         day=day,
         clock=world.clock.now(),
         journal_records=journal_records,
-        ids=dict(world.ids._counters),
-        rng_states=world.rng.export_states(),
-        tokens=world.tokens.export_state(),
-        enforcer=world.api.enforcer.export_state(),
-        charge_counters=dict(world.api.charge_counters),
-        faults=(world.faults.export_state()
-                if world.faults is not None else None),
-        networks={domain: network.export_state()
-                  for domain, network in campaign.networks.items()},
-        directory={"accounts": list(directory._accounts),
-                   "counter": directory._counter},
-        platform=_capture_platform(world.platform, base),
-        shortener=_capture_shortener(world.shortener),
-        campaign=_capture_campaign(campaign),
-        telemetry=(TELEMETRY.export_state()
-                   if TELEMETRY.enabled else None),
-        sanitizer=(SANITIZER.export_state()
-                   if SANITIZER.enabled else None),
+        parts={name: part.export_state()
+               for name, part in campaign.state_parts().items()},
+        platform=world.platform.export_delta(base),
     )
 
 
@@ -288,30 +106,10 @@ def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
     """Overlay ``checkpoint`` onto a freshly rebuilt campaign world."""
     world = campaign.world
     world.clock.advance_to(checkpoint.clock)
-    world.ids._counters = dict(checkpoint.ids)
-    world.rng.install_states(checkpoint.rng_states)
-    world.tokens.install_state(checkpoint.tokens)
-    world.api.enforcer.install_state(checkpoint.enforcer)
-    world.api.charge_counters.clear()
-    world.api.charge_counters.update(checkpoint.charge_counters)
-    # The charge fast path caches (token, app, granted) triples; the
-    # restored token store mutated the underlying objects in place, but
-    # grant verdicts may have changed — drop the memo wholesale.
-    world.api._charge_token_cache.clear()
-    if checkpoint.faults is not None and world.faults is not None:
-        world.faults.install_state(checkpoint.faults)
-    _install_platform(world.platform, checkpoint.platform)
-    directory = next(iter(campaign.networks.values())).directory
-    directory._accounts = list(checkpoint.directory["accounts"])
-    directory._counter = checkpoint.directory["counter"]
-    for domain, network in campaign.networks.items():
-        network.adopt_state(checkpoint.networks[domain])
-    _install_shortener(world.shortener, checkpoint.shortener)
-    _install_campaign(campaign, checkpoint.campaign)
-    if checkpoint.telemetry is not None:
-        TELEMETRY.install_state(checkpoint.telemetry)
-    if checkpoint.sanitizer is not None and SANITIZER.enabled:
-        SANITIZER.install_state(checkpoint.sanitizer)
+    world.platform.apply_delta(checkpoint.platform)
+    for name, part in campaign.state_parts().items():
+        if name in checkpoint.parts:
+            part.install_state(checkpoint.parts[name])
     # Events the restored days already executed (e.g. milking follow-ups
     # scheduled into the campaign window) must not run twice.
     world.scheduler.discard_until(checkpoint.clock)
@@ -338,13 +136,15 @@ class CampaignRecovery:
         self.report: Optional[JournalRecovery] = None
         self.resumed_from_day: Optional[int] = None
         self.store: Optional[CheckpointStore] = None
-        self._base: Optional[_PlatformMarks] = None
+        #: ``SocialPlatform.mark()`` at campaign start, recomputed (not
+        #: stored) on resume: the rebuilt world reproduces it exactly.
+        self._base: Optional[dict] = None
 
     # -- campaign.run() protocol ---------------------------------------
     def prepare(self, campaign) -> int:
         """Open/create the journal; returns the first day to run."""
         world = campaign.world
-        self._base = _platform_marks(world.platform)
+        self._base = world.platform.mark()
         fingerprint = self._fingerprint(campaign)
         self.store = CheckpointStore(
             os.path.join(self.directory, _CHECKPOINT_DIR))
@@ -375,8 +175,9 @@ class CampaignRecovery:
         # resumed run re-issues byte-identical Graph API calls against
         # the same tokens.  The store writes only to the experiment's
         # private checkpoint directory, never to exported artifacts.
-        self.store.save(  # reprolint: disable=RL103 — durable resume image carries the live token table by design
-            f"day-{campaign_day:05d}", checkpoint)
+        # (RL103 does not flag this: the taint engine does not resolve
+        # part.export_state() through the parts table.)
+        self.store.save(f"day-{campaign_day:05d}", checkpoint)
         self._maybe_tear_tail(campaign, campaign_day)
 
     def finish(self, campaign) -> None:

@@ -52,12 +52,16 @@ Merge protocol, per day: the parent first creates the day's honeypot
 posts in global event order (pinning the id-allocator sequence), then
 forks one child per component.  Each child executes its component's
 events in (timestamp, seq) order against its copy-on-write world and
-ships home a :class:`ShardDayDelta`: request-log rows and platform
-activity records tagged by event, the component's limiter windows,
-per-network object state (including the network RNG), honeypot post
-likes and charge-counter deltas.  The parent interleaves all children's
-log/activity segments by global event order — restoring exactly the
-rows a serial run appends — and installs the disjoint state deltas.
+ships home a :class:`ShardDayDelta`: request-log rows, platform
+activity records and shadow-trace events tagged by event, honeypot post
+likes, and payloads of the campaign's state parts
+(:meth:`~repro.countermeasures.campaign.CountermeasureCampaign.state_parts`)
+— the ``export_state`` of the component's limiter keys and networks
+(including each network RNG), and the ``export_delta`` of the additive
+parts (charge counters, fault decisions, metrics).  The parent
+interleaves all children's log/activity/trace segments by global event
+order — restoring exactly what a serial run appends — and installs the
+disjoint part payloads through the same table.
 
 On this container the executor is about parallel *safety*, not speed:
 with one CPU core the forked children run sequentially, so a sharded
@@ -75,15 +79,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sanitizer.delta import (
-    SanitizerDelta,
-    capture_delta as capture_san_delta,
-    delta_pieces as san_delta_pieces,
-    merge_pieces as san_merge_pieces,
-)
 from repro.sanitizer.trace import SANITIZER
 from repro.sim.clock import DAY
-from repro.telemetry.delta import TelemetryDelta, capture_delta, merge_delta
 from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.tracing import TRACER
 
@@ -220,57 +217,50 @@ def plan_shards(networks: Dict[str, object], *,
                      blockers=blockers)
 
 
+#: State parts a shard child ships as ``export_delta`` against its
+#: start-of-day ``export_state`` (the rest of its parts ship whole).
+_ADDITIVE_PARTS = ("api", "faults", "telemetry")
+
+
 @dataclass
 class ShardDayDelta:
     """Everything one shard child mutated during one campaign day.
 
-    ``rows`` / ``activity`` hold the child's appended request-log rows
-    (as exported tuples) and platform activity records; ``segments``
-    maps them back to the originating events as
-    ``(seq, when, row_lo, row_hi, act_lo, act_hi)`` slices so the
-    parent can interleave multiple children in global event order.
+    ``rows`` / ``activity`` / ``trace`` hold the child's appended
+    request-log rows (as exported tuples), platform activity records
+    and captured shadow-trace events; ``segments`` maps them back to
+    the originating events as ``(seq, when, row_lo, row_hi, act_lo,
+    act_hi, trace_lo, trace_hi)`` slices so the parent can interleave
+    multiple children in global event order.  ``states`` and
+    ``deltas`` are keyed by state-part name (``export_state`` and
+    ``export_delta`` payloads); an inline re-execution leaves both
+    empty, its state having landed on the parent's parts directly.
     """
 
     domains: Tuple[str, ...]
     rows: list
     activity: list
-    segments: List[Tuple[int, int, int, int, int, int]]
-    windows: dict
-    network_states: Dict[str, dict]
+    trace: tuple
+    segments: List[Tuple[int, int, int, int, int, int, int, int]]
     post_likes: Dict[str, list]
-    charge_delta: Dict[str, int]
     likes_delivered: Dict[str, int]
-    #: FaultInjector.export_delta output (draw counters, fault tallies,
-    #: token invalidations to replay) — ``None`` when no plan is active.
-    fault_state: Optional[dict] = None
-    #: Metric increments the child recorded during the component —
-    #: ``None`` when telemetry is disabled or the component was
-    #: re-executed inline (the parent's registry already has them).
-    telemetry: Optional[TelemetryDelta] = None
-    #: Shadow-trace events the component's execution captured, sliced
-    #: per event so the parent can replay all components' slices in
-    #: global ``(when, seq)`` order — ``None`` when the sanitizer is
-    #: disabled.  Unlike ``telemetry``, an inline re-execution ships
-    #: this too: the parent records in capture mode for the whole
-    #: sharded day, so even its own executions must be replayed in
-    #: merged order rather than applied at execution order.
-    sanitizer: Optional[SanitizerDelta] = None
+    states: Dict[str, object]
+    deltas: Dict[str, object]
 
 
 def _execute_events(campaign, component: Sequence[str], events,
                     request_posts: Dict[int, str], row0: int,
-                    crash_after: Optional[int] = None):
+                    trace0: int, crash_after: Optional[int] = None):
     """Execute one component's events in order, slicing what each
     event appended.
 
-    Returns ``(journal, segments, san_segments, likes_delivered)``: the
-    platform activity records the events produced, each event's
-    ``(seq, when, row_lo, row_hi, act_lo, act_hi)`` slice of those
-    records and of the request log beyond ``row0``, each event's
-    ``(seq, when, lo, hi)`` sanitizer capture slice, and the likes
-    delivered per domain.  ``crash_after`` is the child-crash fault
-    decision: after executing that many events the process SIGKILLs
-    itself.
+    Returns ``(journal, segments, likes_delivered)``: the platform
+    activity records the events produced, each event's ``(seq, when,
+    row_lo, row_hi, act_lo, act_hi, trace_lo, trace_hi)`` slice of
+    those records, of the request log beyond ``row0`` and of the
+    sanitizer capture beyond ``trace0``, and the likes delivered per
+    domain.  ``crash_after`` is the child-crash fault decision: after
+    executing that many events the process SIGKILLs itself.
     """
     world = campaign.world
     log = world.api.log
@@ -278,8 +268,7 @@ def _execute_events(campaign, component: Sequence[str], events,
     sanitizing = SANITIZER.enabled
     journal = world.platform.activity_log.start_journal()
     likes_delivered = {domain: 0 for domain in component}
-    segments: List[Tuple[int, int, int, int, int, int]] = []
-    san_segments: List[Tuple[int, int, int, int]] = []
+    segments: List[Tuple[int, int, int, int, int, int, int, int]] = []
     for executed, event in enumerate(events):
         if crash_after is not None and executed >= crash_after:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -291,9 +280,9 @@ def _execute_events(campaign, component: Sequence[str], events,
         clock._now = event.when
         if sanitizing:
             SANITIZER.set_day(event.when // DAY)
-            san_lo = SANITIZER.capture_mark()
         row_lo = len(log) - row0
         act_lo = len(journal)
+        trace_lo = SANITIZER.capture_mark() - trace0
         network = campaign.networks[event.domain]
         if event.kind == "request":
             report = network.submit_like_request(
@@ -305,12 +294,10 @@ def _execute_events(campaign, component: Sequence[str], events,
         else:  # pragma: no cover - excluded by plan eligibility
             raise RuntimeError(f"unshardable event kind {event.kind!r}")
         segments.append((event.seq, event.when, row_lo, len(log) - row0,
-                         act_lo, len(journal)))
-        if sanitizing:
-            san_segments.append((event.seq, event.when, san_lo,
-                                 SANITIZER.capture_mark()))
+                         act_lo, len(journal), trace_lo,
+                         SANITIZER.capture_mark() - trace0))
     world.platform.activity_log.stop_journal()
-    return journal, segments, san_segments, likes_delivered
+    return journal, segments, likes_delivered
 
 
 def _execute_component(campaign, component: Sequence[str], events,
@@ -323,37 +310,34 @@ def _execute_component(campaign, component: Sequence[str], events,
     itself, leaving the supervisor to recover the component.
     """
     world = campaign.world
-    api = world.api
-    log = api.log
+    log = world.api.log
     platform = world.platform
+    parts = campaign.state_parts()
+    additive = {name: parts[name] for name in _ADDITIVE_PARTS
+                if name in parts}
+    bases = {name: part.export_state() for name, part in additive.items()}
     row0 = len(log)
-    charge_before = dict(api.charge_counters)
-    telemetry_before = (TELEMETRY.export_state()
-                        if TELEMETRY.enabled else None)
-    injector = api.faults
-    fault_snapshot = injector.snapshot() if injector is not None else None
     # The parent began capture before the pre-pass, so the fork
     # inherited an active capture list; the child's own events start at
     # this mark.
-    san_base = SANITIZER.begin_capture() if SANITIZER.enabled else 0
+    trace0 = SANITIZER.begin_capture() if SANITIZER.enabled else 0
     # Limiter keys this component owns: its networks' token strings
-    # (snapshotted both before and after the day, so windows of tokens
+    # (collected both before and after the day, so windows of tokens
     # dropped mid-day still ship home) and their server IPs.
-    owned_tokens = set()
-    owned_ips = set()
+    owned_keys = set()
     for domain in component:
         network = campaign.networks[domain]
-        owned_tokens.update(network.token_db.values())
-        owned_ips.update(network.ip_pool.addresses)
-    journal, segments, san_segments, likes_delivered = _execute_events(
-        campaign, component, events, request_posts, row0,
+        owned_keys.update(network.token_db.values())
+        owned_keys.update(network.ip_pool.addresses)
+    journal, segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0, trace0,
         crash_after=crash_after)
     for domain in component:
-        owned_tokens.update(campaign.networks[domain].token_db.values())
-    charge_delta = {
-        key: value - charge_before.get(key, 0)
-        for key, value in api.charge_counters.items()
-        if value != charge_before.get(key, 0)}
+        owned_keys.update(campaign.networks[domain].token_db.values())
+    states = {"enforcer": parts["enforcer"].export_state(owned_keys)}
+    for domain in component:
+        name = f"network:{domain}"
+        states[name] = parts[name].export_state()
     post_likes = {}
     for seq, post_id in request_posts.items():
         likes = platform.posts[post_id].likes
@@ -363,18 +347,13 @@ def _execute_component(campaign, component: Sequence[str], events,
         domains=tuple(component),
         rows=log.export_rows(row0),
         activity=journal,
+        trace=SANITIZER.capture_slice(trace0, SANITIZER.capture_mark()),
         segments=segments,
-        windows=api.enforcer.export_shard_windows(owned_tokens, owned_ips),
-        network_states={domain: campaign.networks[domain].export_state()
-                        for domain in component},
         post_likes=post_likes,
-        charge_delta=charge_delta,
         likes_delivered=likes_delivered,
-        fault_state=(injector.export_delta(fault_snapshot)
-                     if injector is not None else None),
-        telemetry=(capture_delta(TELEMETRY, telemetry_before)
-                   if telemetry_before is not None else None),
-        sanitizer=capture_san_delta(SANITIZER, san_base, san_segments),
+        states=states,
+        deltas={name: part.export_delta(bases[name])
+                for name, part in additive.items()},
     )
 
 
@@ -486,8 +465,8 @@ def _reexecute_inline(campaign, component, events,
     objects, token store, posts and charge counters directly — exactly
     like the serial path — so the returned delta is *reduced*: it
     carries only the log rows and activity records (rolled back here,
-    re-applied by the merge in global event order) plus the delivered
-    counts.  Everything else is already in place.
+    re-applied by the merge in global event order), the trace slices
+    and the delivered counts.  Everything else is already in place.
     """
     world = campaign.world
     log = world.api.log
@@ -496,9 +475,9 @@ def _reexecute_inline(campaign, component, events,
     # re-execution's trace events land on the capture list exactly like
     # a child's would; slicing them per event lets the merge replay
     # them in global order alongside the surviving children's.
-    san_base = SANITIZER.capture_mark() if SANITIZER.enabled else 0
-    journal, segments, san_segments, likes_delivered = _execute_events(
-        campaign, component, events, request_posts, row0)
+    trace0 = SANITIZER.capture_mark()
+    journal, segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0, trace0)
     rows = log.export_rows(row0)
     log.truncate(row0)
     world.platform.activity_log.rollback(journal)
@@ -506,15 +485,12 @@ def _reexecute_inline(campaign, component, events,
         domains=tuple(component),
         rows=rows,
         activity=journal,
+        trace=SANITIZER.capture_slice(trace0, SANITIZER.capture_mark()),
         segments=segments,
-        windows={},
-        network_states={},
         post_likes={},
-        charge_delta={},
         likes_delivered=likes_delivered,
-        fault_state=None,
-        telemetry=None,
-        sanitizer=capture_san_delta(SANITIZER, san_base, san_segments),
+        states={},
+        deltas={},
     )
 
 
@@ -543,12 +519,13 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
     # replays all slices in global (when, seq) order — reproducing the
     # per-stream sequences a serial day applies directly.
     sanitizing = SANITIZER.enabled
-    pre_segments: List[Tuple[int, int, int, int]] = []
-    san_lo = 0
+    # (when, seq, events) replay pieces: the pre-pass's here, every
+    # component's from its delta's trace segments at the merge.
+    trace_pieces: List[Tuple[int, int, tuple]] = []
     if sanitizing:
         SANITIZER.record_shard(
             f"fork day={day} components={len(plan.components)}")
-        san_base = SANITIZER.begin_capture()
+        SANITIZER.begin_capture()
 
     # Pre-pass: create the day's honeypot posts in global event order so
     # the id-allocator sequence matches the serial run exactly.  Request
@@ -558,16 +535,14 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
     for event in sorted((e for e in events if e.kind == "request"),
                         key=lambda e: (e.when, e.seq)):
         world.clock.advance_to(event.when)
-        if sanitizing:
-            san_lo = SANITIZER.capture_mark()
+        trace_lo = SANITIZER.capture_mark()
         request_posts[event.seq] = campaign._create_request_post(
             campaign.honeypots[event.domain])
         posts_today[event.domain] += 1
         if sanitizing:
-            pre_segments.append((event.seq, event.when, san_lo,
-                                 SANITIZER.capture_mark()))
-    pre_delta = (capture_san_delta(SANITIZER, san_base, pre_segments)
-                 if sanitizing else None)
+            trace_pieces.append((event.when, event.seq,
+                                 SANITIZER.capture_slice(
+                                     trace_lo, SANITIZER.capture_mark())))
 
     component_of = {domain: index
                     for index, component in enumerate(plan.components)
@@ -627,19 +602,22 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
         # sort: a pre-pass piece precedes its event's execution piece,
         # matching the serial create-then-submit order.
         SANITIZER.end_capture()
-        pieces = list(san_delta_pieces(pre_delta))
         for delta in deltas:
-            pieces.extend(san_delta_pieces(delta.sanitizer))
-        san_merge_pieces(SANITIZER, pieces)
+            trace = delta.trace
+            for seq, when, *_, trace_lo, trace_hi in delta.segments:
+                trace_pieces.append((when, seq, trace[trace_lo:trace_hi]))
+        trace_pieces.sort(key=lambda piece: (piece[0], piece[1]))
+        for _when, _seq, trace_events in trace_pieces:
+            SANITIZER.replay(trace_events)
         SANITIZER.record_shard(f"merge day={day} deltas={len(deltas)}")
 
     # Merge: interleave every child's log/activity segments by global
-    # event order, then install the disjoint state deltas.
+    # event order, then install the disjoint part payloads.
     if wal is not None:
         api.log.attach_journal(wal)
     stream = []
     for delta in deltas:
-        for seq, when, row_lo, row_hi, act_lo, act_hi in delta.segments:
+        for seq, when, row_lo, row_hi, act_lo, act_hi, *_ in delta.segments:
             stream.append((when, seq, delta, row_lo, row_hi, act_lo,
                            act_hi))
     stream.sort(key=lambda item: (item[0], item[1]))
@@ -650,25 +628,16 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
             log.append_exported(delta.rows[row_lo:row_hi])
         for record in delta.activity[act_lo:act_hi]:
             record_activity(record)
+    parts = campaign.state_parts()
     for delta in deltas:
-        # An inline re-execution ships a reduced delta: its window /
-        # network / charge state already landed on the parent's own
-        # objects, so only the non-empty pieces are installed.
-        if delta.windows:
-            api.enforcer.install_shard_windows(delta.windows)
-        for domain, state in delta.network_states.items():
-            campaign.networks[domain].adopt_state(state)
+        for name, state in delta.states.items():
+            parts[name].install_state(state)
+        for name, change in delta.deltas.items():
+            parts[name].apply_delta(change)
         for post_id, likes in delta.post_likes.items():
             post = platform.posts[post_id]
             for like in likes:
                 post.add_like(like)
-        for key, value in delta.charge_delta.items():
-            api.charge_counters[key] = (
-                api.charge_counters.get(key, 0) + value)
         for domain, delivered in delta.likes_delivered.items():
             likes_today[domain] += delivered
-        if delta.fault_state is not None and injector is not None:
-            injector.apply_delta(delta.fault_state)
-        if delta.telemetry is not None:
-            merge_delta(TELEMETRY, delta.telemetry)
     world.clock.advance_to(day_start + DAY - 1)

@@ -346,19 +346,12 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
     # ------------------------------------------------------------------
     # State transfer (sharding deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict:
-        """Cheap marker of the current decision state (pre-day, in a
-        shard child) for :meth:`export_delta`."""
-        return {"counters": dict(self.counters),
-                "draws": dict(self._draws),
-                "invalidations": len(self.invalidations)}
-
-    def export_delta(self, snapshot: Dict) -> Dict:
-        """What this injector decided since ``snapshot`` — picklable,
-        and safe to apply in another process whose subjects are
-        disjoint from every other delta's."""
-        base_counters = snapshot["counters"]
-        base_draws = snapshot["draws"]
+    def export_delta(self, base: Dict) -> Dict:
+        """What this injector decided since ``base`` (an earlier
+        :meth:`export_state`) — picklable, and safe to apply in another
+        process whose subjects are disjoint from every other delta's."""
+        base_counters = base["counters"]
+        base_draws = base["draws"]
         return {
             "counters": {kind: count - base_counters.get(kind, 0)
                          for kind, count in self.counters.items()
@@ -367,7 +360,7 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
                       for key, count in self._draws.items()
                       if count != base_draws.get(key)},
             "invalidated": list(
-                self.invalidations[snapshot["invalidations"]:]),
+                self.invalidations[len(base["invalidations"]):]),
         }
 
     def apply_delta(self, delta: Dict) -> None:

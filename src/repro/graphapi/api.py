@@ -51,7 +51,10 @@ from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.tracing import TRACER
 
 
-class GraphApi:
+# The IP->ASN and charge-token memos are caches over static pools and
+# the token store: an installed state rebuilds them on demand, so
+# export_state carries only the charge counters.
+class GraphApi:  # reprolint: disable=RL401 — _asn_cache/_charge_token_cache are memo caches, cleared or rebuilt on demand after an install
     """Authenticated API over a :class:`SocialPlatform`."""
 
     def __init__(self, clock: SimClock, platform: SocialPlatform,
@@ -496,6 +499,31 @@ class GraphApi:
         append_row(now, ApiAction.LIKE_POST, access_token, user_id,
                    app_id, post_id, source_ip, asn, "ok")
         return None
+
+    # ------------------------------------------------------------------
+    # State transfer (shard deltas and campaign checkpoints)
+    # ------------------------------------------------------------------
+    def export_state(self) -> Dict[str, int]:
+        return dict(self.charge_counters)
+
+    def install_state(self, counters: Dict[str, int]) -> None:
+        self.charge_counters.clear()
+        self.charge_counters.update(counters)
+        # The charge memo caches (token, app, granted) triples; the
+        # restored token store mutated the underlying objects in place,
+        # but grant verdicts may have changed — drop the memo wholesale.
+        self._charge_token_cache.clear()
+
+    def export_delta(self, base: Dict[str, int]) -> Dict[str, int]:
+        """Charge-counter increments since ``base``."""
+        return {key: value - base.get(key, 0)
+                for key, value in self.charge_counters.items()
+                if value != base.get(key, 0)}
+
+    def apply_delta(self, delta: Dict[str, int]) -> None:
+        for key, value in delta.items():
+            self.charge_counters[key] = (
+                self.charge_counters.get(key, 0) + value)
 
     # ------------------------------------------------------------------
     # Convenience wrappers

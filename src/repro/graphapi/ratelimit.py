@@ -112,18 +112,21 @@ class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted 
         return True
 
     # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
+    # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    def export_windows(self, keys) -> Dict[str, tuple]:
-        """Window state for ``keys``, as picklable tuples.
+    def export_state(self, keys=None) -> Dict[str, tuple]:
+        """Window state per key, as picklable ``(events, until)`` tuples.
 
-        Only keys with any state (events present or a saturation memo)
-        are included; the transient same-timestamp eviction memo is
-        deliberately not exported — it is only valid within the
-        exporting process's current ``now``.
+        With ``keys`` only those keys that hold any state (events or a
+        saturation memo) are exported; without, every key is — empty
+        deques and memo-only keys included.  The transient
+        same-timestamp eviction memo is deliberately not exported: it
+        is only valid within the exporting process's current ``now``.
         """
         events_map = self._events
         saturated = self._saturated_until
+        if keys is None:
+            keys = {**events_map, **saturated}
         out: Dict[str, tuple] = {}
         for key in keys:
             events = events_map.get(key)
@@ -133,9 +136,9 @@ class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted 
                             until)
         return out
 
-    def install_windows(self, windows: Dict[str, tuple]) -> None:
-        """Adopt :meth:`export_windows` output, replacing local state
-        for exactly the exported keys."""
+    def install_state(self, windows: Dict[str, tuple]) -> None:
+        """Adopt :meth:`export_state` output, replacing local state for
+        exactly the exported keys."""
         for key, (events, until) in windows.items():
             if events is None:
                 self._events.pop(key, None)
@@ -310,55 +313,23 @@ class PolicyEnforcer:
                                 self._ip_week_limiter, now)
 
     # ------------------------------------------------------------------
-    # Shard transfer (see repro.countermeasures.sharding)
+    # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    def export_shard_windows(self, tokens, ips) -> Dict[str, dict]:
-        """Window state for a shard's owned token and IP keys."""
-        self._sync()
-        out = {"token": self._token_limiter.export_windows(tokens)}
-        if self._ip_day_limiter is not None:
-            out["ip_day"] = self._ip_day_limiter.export_windows(ips)
-        if self._ip_week_limiter is not None:
-            out["ip_week"] = self._ip_week_limiter.export_windows(ips)
-        return out
+    def _limiters(self) -> Dict[str, Optional[SlidingWindowLimiter]]:
+        return {"token": self._token_limiter,
+                "ip_day": self._ip_day_limiter,
+                "ip_week": self._ip_week_limiter}
 
-    def install_shard_windows(self, windows: Dict[str, dict]) -> None:
-        """Adopt a shard's :meth:`export_shard_windows` output."""
-        self._sync()
-        self._token_limiter.install_windows(windows["token"])
-        if self._ip_day_limiter is not None and "ip_day" in windows:
-            self._ip_day_limiter.install_windows(windows["ip_day"])
-        if self._ip_week_limiter is not None and "ip_week" in windows:
-            self._ip_week_limiter.install_windows(windows["ip_week"])
+    def export_state(self, keys=None) -> Dict:
+        """Policy plus window state.
 
-    # ------------------------------------------------------------------
-    # Checkpoint transfer (see repro.countermeasures.recovery)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _dump_limiter(limiter: Optional[SlidingWindowLimiter]):
-        if limiter is None:
-            return None
-        return {"events": {key: tuple(events)
-                           for key, events in limiter._events.items()
-                           if events},
-                "saturated": dict(limiter._saturated_until)}
-
-    @staticmethod
-    def _load_limiter(limiter: Optional[SlidingWindowLimiter],
-                      state) -> None:
-        if limiter is None or state is None:
-            return
-        limiter._events = {key: deque(events)
-                           for key, events in state["events"].items()}
-        limiter._saturated_until = dict(state["saturated"])
-        limiter._evict_now = -1
-        limiter._evicted.clear()
-
-    def export_state(self) -> Dict:
-        """Full policy + window state for a campaign checkpoint."""
+        ``keys`` narrows the windows to the keys a shard owns (its
+        token strings and server IPs); a checkpoint passes nothing and
+        gets every key of every live limiter.
+        """
         self._sync()
         policy = self.policy
-        return {
+        state: Dict = {
             "policy": {
                 "token_actions_per_day": policy.token_actions_per_day,
                 "ip_likes_per_day": policy.ip_likes_per_day,
@@ -367,13 +338,20 @@ class PolicyEnforcer:
                     app: set(asns) for app, asns
                     in policy.blocked_asns_by_app.items()},
             },
-            "token": self._dump_limiter(self._token_limiter),
-            "ip_day": self._dump_limiter(self._ip_day_limiter),
-            "ip_week": self._dump_limiter(self._ip_week_limiter),
         }
+        for name, limiter in self._limiters().items():
+            if limiter is not None:
+                state[name] = limiter.export_state(keys)
+        return state
 
     def install_state(self, state: Dict) -> None:
-        """Restore an :meth:`export_state` snapshot wholesale."""
+        """Adopt :meth:`export_state` output: the policy, then exactly
+        the exported window keys.
+
+        Installing a full export onto a rebuilt world equals replacing
+        the windows wholesale: window keys only grow during a run, and
+        :meth:`_sync` rebuilds a limiter empty when its limit changes.
+        """
         policy = self.policy
         fields = state["policy"]
         policy.token_actions_per_day = fields["token_actions_per_day"]
@@ -383,9 +361,9 @@ class PolicyEnforcer:
             app: set(asns)
             for app, asns in fields["blocked_asns_by_app"].items()}
         self._sync()
-        self._load_limiter(self._token_limiter, state["token"])
-        self._load_limiter(self._ip_day_limiter, state["ip_day"])
-        self._load_limiter(self._ip_week_limiter, state["ip_week"])
+        for name, limiter in self._limiters().items():
+            if limiter is not None and name in state:
+                limiter.install_state(state[name])
 
     def admit_ip_like(self, source_ip: Optional[str], now: int) -> Optional[str]:
         """Check-and-record one like from ``source_ip``.

@@ -61,6 +61,14 @@ class TimelineCrawler:
             self._comment_cursor[post_id] = len(post.comments)
         return new_likes, new_comments
 
+    def export_state(self) -> tuple:
+        return (dict(self._like_cursor), dict(self._comment_cursor))
+
+    def install_state(self, state: tuple) -> None:
+        like_cursor, comment_cursor = state
+        self._like_cursor = dict(like_cursor)
+        self._comment_cursor = dict(comment_cursor)
+
     def likes_of_post(self, post_id: str) -> List[Like]:
         """The (public) likes on one post."""
         return list(self._world.platform.get_post(post_id).likes)

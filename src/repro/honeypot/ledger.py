@@ -95,3 +95,11 @@ class MilkedTokenLedger:
         """Accounts seen acting for more than one collusion network."""
         return [a for a, obs in self._observations.items()
                 if len(obs.networks) > 1]
+
+    def export_state(self) -> tuple:
+        """The live indexes (shared, not copied: a checkpoint pickles
+        them before the ledger changes again)."""
+        return (self._observations, self._new_by_day, self._seen_by_day)
+
+    def install_state(self, state: tuple) -> None:
+        self._observations, self._new_by_day, self._seen_by_day = state

@@ -39,9 +39,8 @@ RL203  no raw ``%``/``//``/``/`` arithmetic on sim-clock readings
        outside ``repro/sim/``
 RL301  collusion/honeypot code must not mutate the platform directly
 RL302  …nor launder the mutation through a helper outside graphapi
-RL401  snapshot-protocol classes (export_*/install_*), capture/install
-       pairs and *Checkpoint dataclasses must cover every mutable
-       attribute / captured key / field
+RL401  snapshot-protocol classes (export_*/install_*) and *Checkpoint
+       dataclasses must cover every mutable attribute / field
 RL402  *Delta dataclasses must pass and consume every field, and
        forked shard children must not write parent-visible state
        outside the delta

@@ -6,16 +6,14 @@ statically, on top of the mutation-effect lattice the fixpoint
 (:mod:`repro.lint.fixpoint`) computes:
 
 * **RL401** — snapshot coverage.  Any class exposing an
-  ``export_*``/``install_*`` (or ``adopt_*``) protocol must read every
-  mutable attribute in the export path and write it back in the
-  install path.  ``self.__dict__``-based snapshots cover everything
+  ``export_*``/``install_*`` protocol (the campaign's state parts) must
+  read every mutable attribute in the export path and write it back in
+  the install path.  ``self.__dict__``-based snapshots cover everything
   except the names listed in a class-level constant the export reads
   (a skip list); skipped-but-mutated attributes are flagged so every
-  exception carries an explicit pragma justification.  Module-level
-  ``capture_X``/``install_X`` pairs returning dict literals are
-  cross-checked key-by-key, and ``*Checkpoint`` dataclasses must have
-  every field passed explicitly at each construction site and consumed
-  somewhere in the defining module.
+  exception carries an explicit pragma justification.  ``*Checkpoint``
+  dataclasses must have every field passed explicitly at each
+  construction site and consumed somewhere in the defining module.
 * **RL402** — shard delta coverage and purity.  ``*Delta`` dataclasses
   get the same explicit-construction and consumption checks (a field
   the merge never reads is state the parent silently drops).  In
@@ -36,14 +34,11 @@ statically, on top of the mutation-effect lattice the fixpoint
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ModuleContext, ProjectRule
 from repro.lint.taint import attr_chain, terminal_base
-
-_CAPTURE_NAME = re.compile(r"^_?capture_(\w+)$")
 
 #: Filesystem mutations a forked shard child must not perform.
 _OS_FILE_MUTATIONS = frozenset({
@@ -187,15 +182,15 @@ class SnapshotCoverageRule(ProjectRule):
     severity = Severity.ERROR
     description = ("snapshot-protocol classes must export and install "
                    "every mutable attribute")
-    hint = ("thread the attribute through export_*/install_* (and the "
-            "checkpoint dataclass), or pragma it with the reason it is "
-            "safe to drop across a resume")
+    hint = ("thread the attribute through export_*/install_* (and "
+            "register the class in CountermeasureCampaign.state_parts()), "
+            "or pragma it with the reason it is safe to drop across a "
+            "resume")
 
     def run_project(self, graph) -> Iterator[Finding]:
         for module in sorted(graph.modules):
             info = graph.modules[module]
             yield from self._check_classes(graph, info)
-            yield from self._check_capture_pairs(graph, info)
             yield from self._check_checkpoint_dataclasses(graph, info)
 
     # -- export_*/install_* protocol classes ---------------------------
@@ -206,7 +201,7 @@ class SnapshotCoverageRule(ProjectRule):
             exports = sorted(n for n in view.methods
                              if n.startswith("export"))
             installs = sorted(n for n in view.methods
-                              if n.startswith(("install", "adopt")))
+                              if n.startswith("install"))
             if not exports or not installs:
                 continue
             snapshot_methods = set(exports) | set(installs)
@@ -257,76 +252,6 @@ class SnapshotCoverageRule(ProjectRule):
                     f"mutable attribute '{attr}' of {cls.name} is not "
                     f"covered by the snapshot protocol (missing: "
                     f"{', '.join(missing)})")
-
-    # -- module-level capture_X/install_X dict pairs -------------------
-    def _check_capture_pairs(self, graph, info) -> Iterator[Finding]:
-        functions = {name: fn for name, fn in info.functions.items()
-                     if fn.cls is None}
-        for name in sorted(functions):
-            match = _CAPTURE_NAME.match(name)
-            if match is None:
-                continue
-            suffix = match.group(1)
-            install = functions.get(f"install_{suffix}") or \
-                functions.get(f"_install_{suffix}")
-            if install is None:
-                continue
-            captured = self._captured_keys(functions[name].node)
-            if captured is None:
-                continue
-            installed = self._installed_keys(install.node)
-            for key in sorted(captured - installed):
-                yield info.ctx.finding(
-                    self, functions[name].node,
-                    f"{name}() captures key '{key}' that "
-                    f"{install.name}() never installs")
-            for key in sorted(installed - captured):
-                yield info.ctx.finding(
-                    self, install.node,
-                    f"{install.name}() installs key '{key}' that "
-                    f"{name}() never captures")
-
-    @staticmethod
-    def _captured_keys(fn_node: ast.AST) -> Optional[Set[str]]:
-        """Union of constant keys over dict-literal returns; None when
-        no return is a plain dict literal (comprehensions etc.)."""
-        keys: Optional[Set[str]] = None
-        for node in ast.walk(fn_node):
-            if not isinstance(node, ast.Return) or not isinstance(
-                    node.value, ast.Dict):
-                continue
-            literal: Set[str] = set()
-            for key in node.value.keys:
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    return None
-                literal.add(key.value)
-            keys = (keys or set()) | literal
-        return keys
-
-    @staticmethod
-    def _installed_keys(fn_node: ast.AST) -> Set[str]:
-        params = {a.arg for a in (fn_node.args.posonlyargs
-                                  + fn_node.args.args
-                                  + fn_node.args.kwonlyargs)}
-        keys: Set[str] = set()
-        for node in ast.walk(fn_node):
-            if (isinstance(node, ast.Subscript)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in params
-                    and isinstance(node.slice, ast.Constant)
-                    and isinstance(node.slice.value, str)):
-                keys.add(node.slice.value)
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in params
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
-                keys.add(node.args[0].value)
-        return keys
 
     # -- *Checkpoint dataclasses ---------------------------------------
     def _check_checkpoint_dataclasses(self, graph,

@@ -6,8 +6,11 @@ Public surface:
   (enable with ``repro run --sanitize DIR``).
 * :class:`InstrumentedStream` — the RNG draw hook handed out by
   ``RngFactory.stream`` while sanitizing.
-* :class:`SanitizerDelta` / :func:`capture_delta` /
-  :func:`delta_pieces` / :func:`merge_pieces` — shard transfer.
+* Shard transfer is the trace's capture mode
+  (``SANITIZER.begin_capture()``/``capture_slice()``/``replay()``):
+  a shard child ships its captured events in ``ShardDayDelta.trace``,
+  sliced per day event, and the parent replays every slice in global
+  ``(when, seq)`` order.
 * :func:`diff_manifests` / :func:`load_manifest` — the
   ``repro san diff`` engine.
 * :func:`write_sanitizer` — manifest export.
@@ -18,12 +21,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.sanitizer.delta import (
-    SanitizerDelta,
-    capture_delta,
-    delta_pieces,
-    merge_pieces,
-)
 from repro.sanitizer.diff import (
     DiffResult,
     Divergence,
@@ -38,10 +35,6 @@ __all__ = [
     "SanitizerTrace",
     "InstrumentedStream",
     "hot_draw_bindings",
-    "SanitizerDelta",
-    "capture_delta",
-    "delta_pieces",
-    "merge_pieces",
     "DiffResult",
     "Divergence",
     "diff_manifests",

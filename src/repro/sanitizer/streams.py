@@ -10,11 +10,11 @@ for ``getstate``/``setstate`` (state plumbing is not a draw).
 
 The wrapper must survive the same journeys the raw generator makes:
 ``CollusionNetwork.export_state`` pickles ``self.rng`` across the
-shard fork boundary and ``adopt_state`` swaps the unpickled stream
+shard fork boundary and ``install_state`` swaps the unpickled stream
 back in, rebinding bound-method caches (``self.rng.random``); the
 wrapper therefore pickles by value (stream name + underlying
 generator) and rebinds the process-global ``SANITIZER`` on the far
-side, so an adopted stream keeps recording in its new process.
+side, so an installed stream keeps recording in its new process.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def hot_draw_bindings(stream):
     The exemption is structural — a fixed property of the two inlined
     call sites, identical in every run and execution mode — so it is
     deliberately not recorded as a trace event (a per-bind marker
-    would differ between serial runs and shard adopt/merge rebinding
+    would differ between serial runs and shard install/merge rebinding
     without describing any workload divergence).  A divergent draw
     inside the exempt loop still surfaces in the same day's trace
     through everything the loop feeds: the members/campaign streams,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.sim.clock import DAY, SimClock
@@ -51,6 +51,12 @@ class ShortUrl:
 
     def daily_clicks(self, day: int) -> int:
         return self.clicks_by_day.get(day, 0)
+
+    def copy(self) -> "ShortUrl":
+        """A copy whose click counters are independent of this one's."""
+        return replace(self, clicks_by_country=dict(self.clicks_by_country),
+                       clicks_by_referrer=dict(self.clicks_by_referrer),
+                       clicks_by_day=dict(self.clicks_by_day))
 
 
 class UrlShortener:
@@ -130,6 +136,23 @@ class UrlShortener:
         """Total clicks across every short URL for ``long_url``."""
         return sum(self._by_slug[slug].click_count
                    for slug in self._by_long.get(long_url, ()))
+
+    def export_state(self) -> dict:
+        """Every link with its analytics, plus the slug counter."""
+        return {
+            "by_slug": {slug: url.copy()
+                        for slug, url in self._by_slug.items()},
+            "by_long": {long_url: list(slugs)
+                        for long_url, slugs in self._by_long.items()},
+            "counter": self._counter,
+        }
+
+    def install_state(self, state: dict) -> None:
+        self._by_slug = {slug: url.copy()
+                         for slug, url in state["by_slug"].items()}
+        self._by_long = {long_url: list(slugs)
+                         for long_url, slugs in state["by_long"].items()}
+        self._counter = state["counter"]
 
     def _require(self, slug: str) -> ShortUrl:
         short = self._by_slug.get(slug)

@@ -27,6 +27,12 @@ class IdAllocator:
         """Number of ids allocated so far for ``kind``."""
         return self._counters.get(kind, 0)
 
+    def export_state(self) -> Dict[str, int]:
+        return dict(self._counters)
+
+    def install_state(self, counters: Dict[str, int]) -> None:
+        self._counters = dict(counters)
+
     @staticmethod
     def kind_of(entity_id: str) -> str:
         """Extract the kind prefix from an id (``acct:12`` -> ``acct``)."""

@@ -9,8 +9,8 @@ When the determinism sanitizer is enabled (``repro run --sanitize``),
 :class:`~repro.sanitizer.streams.InstrumentedStream` proxy around the
 same underlying generator, so every draw lands in the shadow trace
 with its stream name, method and call-site; the factory itself keeps
-the raw generators, and state transfer (:meth:`export_states` /
-:meth:`install_states`) operates on them directly.
+the raw generators, and state transfer (:meth:`export_state` /
+:meth:`install_state`) operates on them directly.
 """
 
 from __future__ import annotations
@@ -80,13 +80,13 @@ class RngFactory:  # reprolint: disable=RL401 — _wrapped is a lazily rebuilt c
         """Return a new factory whose streams are independent of this one."""
         return RngFactory(derive_seed(self._master_seed, f"child:{name}"))
 
-    def export_states(self) -> Dict[str, tuple]:
+    def export_state(self) -> Dict[str, tuple]:
         """Snapshot every live stream's generator state (checkpoints)."""
         return {name: stream.getstate()
                 for name, stream in self._streams.items()}
 
-    def install_states(self, states: Dict[str, tuple]) -> None:
-        """Restore a :meth:`export_states` snapshot.
+    def install_state(self, states: Dict[str, tuple]) -> None:
+        """Restore an :meth:`export_state` snapshot.
 
         Streams named in ``states`` are (re)created and wound to the
         recorded position; streams created since the snapshot are left
@@ -102,7 +102,7 @@ class RngFactory:  # reprolint: disable=RL401 — _wrapped is a lazily rebuilt c
         for name, state in states.items():
             if name not in self._streams:
                 warnings.warn(
-                    f"install_states: stream {name!r} does not exist in "
+                    f"install_state: stream {name!r} does not exist in "
                     "this factory yet; installing creates it pre-wound — "
                     "check the checkpoint key if this is not a stream "
                     "the run creates later",

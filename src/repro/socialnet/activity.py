@@ -73,6 +73,23 @@ class ActivityLog:
                 del self._by_actor[record.actor_id]
             self._total -= 1
 
+    def mark(self) -> Dict[str, int]:
+        """Per-actor record counts (see :meth:`export_delta`)."""
+        return {actor: len(records)
+                for actor, records in self._by_actor.items()}
+
+    def export_delta(self, mark: Dict[str, int]
+                     ) -> Dict[str, List[ActivityRecord]]:
+        """Per-actor records appended since ``mark``."""
+        return {actor: records[mark.get(actor, 0):]
+                for actor, records in self._by_actor.items()
+                if len(records) > mark.get(actor, 0)}
+
+    def apply_delta(self, delta: Dict[str, List[ActivityRecord]]) -> None:
+        for records in delta.values():
+            for record in records:
+                self.record(record)
+
     def for_actor(self, actor_id: str) -> List[ActivityRecord]:
         """All activity by ``actor_id``, oldest first."""
         return list(self._by_actor.get(actor_id, ()))

@@ -214,3 +214,70 @@ class SocialPlatform:
         post.likes = [lk for lk in post.likes if lk.liker_id != liker_id]
         del post._likers[liker_id]
         return True
+
+    # ------------------------------------------------------------------
+    # State transfer (campaign checkpoints)
+    # ------------------------------------------------------------------
+    # The platform's full state is the built world, which a resume
+    # rebuilds deterministically; checkpoints carry only the growth
+    # beyond a mark taken when recording began.
+    def mark(self) -> Dict[str, object]:
+        """Sizes of every registry, engagement list and activity list."""
+        return {
+            "accounts": len(self.accounts),
+            "posts": len(self.posts),
+            "pages": len(self.pages),
+            "post_marks": {post_id: (len(post.likes), len(post.comments))
+                           for post_id, post in self.posts.items()},
+            "page_marks": {page_id: len(page.likes)
+                           for page_id, page in self.pages.items()},
+            "activity": self.activity_log.mark(),
+        }
+
+    def export_delta(self, mark: Dict[str, object]) -> Dict[str, object]:
+        """Everything appended since ``mark``.
+
+        Registries are insertion-ordered dicts, so "everything beyond
+        the marked count" is a stable slice; engagement on pre-existing
+        objects ships as per-object suffixes.
+        """
+        touched_posts = []
+        for post_id, (n_likes, n_comments) in mark["post_marks"].items():
+            post = self.posts[post_id]
+            if len(post.likes) > n_likes or len(post.comments) > n_comments:
+                touched_posts.append((post_id, post.likes[n_likes:],
+                                      post.comments[n_comments:]))
+        touched_pages = []
+        for page_id, n_likes in mark["page_marks"].items():
+            page = self.pages[page_id]
+            if len(page.likes) > n_likes:
+                touched_pages.append((page_id, page.likes[n_likes:]))
+        return {
+            "new_accounts": list(self.accounts.values())[mark["accounts"]:],
+            "new_posts": list(self.posts.values())[mark["posts"]:],
+            "new_pages": list(self.pages.values())[mark["pages"]:],
+            "touched_posts": touched_posts,
+            "touched_pages": touched_pages,
+            "activity": self.activity_log.export_delta(mark["activity"]),
+        }
+
+    def apply_delta(self, delta: Dict[str, object]) -> None:
+        for account in delta["new_accounts"]:
+            self.accounts[account.account_id] = account
+        for post in delta["new_posts"]:
+            self.posts[post.post_id] = post
+            self._posts_by_author.setdefault(post.author_id,
+                                             []).append(post)
+        for page in delta["new_pages"]:
+            self.pages[page.page_id] = page
+        for post_id, likes, comments in delta["touched_posts"]:
+            post = self.posts[post_id]
+            for like in likes:
+                post.add_like(like)
+            for comment in comments:
+                post.add_comment(comment)
+        for page_id, likes in delta["touched_pages"]:
+            page = self.pages[page_id]
+            for like in likes:
+                page.add_like(like)
+        self.activity_log.apply_delta(delta["activity"])

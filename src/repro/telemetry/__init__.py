@@ -11,15 +11,15 @@ Layout:
 
 - :mod:`repro.telemetry.registry` — counters/gauges/histograms keyed by
   name + sorted label tuples (integer-valued, so merges are exact).
+  The registry is one of the campaign's state parts: checkpoints carry
+  its ``export_state()``, and a shard worker ships its
+  ``export_delta()`` home for the parent's ``apply_delta()``.
 - :mod:`repro.telemetry.tracing` — span tree over stages, campaign
   days, delivery waves and shard children; Chrome-trace + text export.
-- :mod:`repro.telemetry.delta` — :class:`TelemetryDelta` shard workers
-  ship alongside ``ShardDayDelta``; parent-side merge.
 - :mod:`repro.telemetry.export` — Prometheus text exposition, JSON and
   trace writers behind ``repro run --telemetry`` / ``repro metrics``.
 """
 
-from repro.telemetry.delta import TelemetryDelta, capture_delta, merge_delta
 from repro.telemetry.export import (
     chrome_trace,
     histogram_quantiles,
@@ -36,13 +36,10 @@ __all__ = [
     "TELEMETRY",
     "TRACER",
     "Span",
-    "TelemetryDelta",
     "TelemetryRegistry",
     "Tracer",
-    "capture_delta",
     "chrome_trace",
     "histogram_quantiles",
-    "merge_delta",
     "metrics_json",
     "prometheus_text",
     "render_metrics",

@@ -218,9 +218,9 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
                                  digest_size=8)
         return digest.hexdigest()
 
-    # -- snapshot protocol (checkpoints, shard deltas) -----------------
+    # -- state transfer (checkpoints, shard deltas) --------------------
     def export_state(self) -> Dict[str, object]:
-        """Full copy of the recorded series for checkpoint capture."""
+        """Full copy of the recorded series."""
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
@@ -240,9 +240,63 @@ class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are proc
                       in state["hist"].items()}  # type: ignore[union-attr]
         self._hist_sum = dict(state["hist_sum"])  # type: ignore[arg-type]
 
+    def export_delta(self, base: Mapping[str, object]) -> Dict[str, object]:
+        """Increments since ``base`` (an earlier :meth:`export_state`).
+
+        Counters, histogram buckets and sums ship as differences,
+        gauges as last writes, and bucket bounds whole (a family may be
+        first observed after ``base``).
+        """
+        def increments(current, before):
+            return {key: value - before.get(key, 0)
+                    for key, value in current.items()
+                    if value != before.get(key, 0)}
+
+        base_gauges: Mapping[MetricKey, int] = base["gauges"]  # type: ignore[assignment]
+        base_hist: Mapping[MetricKey, List[int]] = base["hist"]  # type: ignore[assignment]
+        hist: Dict[MetricKey, List[int]] = {}
+        for key, buckets in self._hist.items():
+            before = base_hist.get(key)
+            diff = (list(buckets) if before is None
+                    else [b - a for a, b in zip(before, buckets)])
+            if any(diff):
+                hist[key] = diff
+        return {
+            "counters": increments(self._counters, base["counters"]),
+            "gauges": {key: value for key, value in self._gauges.items()
+                       if base_gauges.get(key) != value},
+            "hist_bounds": dict(self._hist_bounds),
+            "hist": hist,
+            "hist_sum": increments(self._hist_sum, base["hist_sum"]),
+        }
+
+    def apply_delta(self, delta: Mapping[str, object]) -> None:
+        """Fold an :meth:`export_delta` from another process in.
+
+        Because every value is an integer, fold order cannot change
+        the result.  Bypasses the ``enabled`` gate: the receiving
+        process decides enablement, and a delta only exists because
+        recording was on where it was exported.
+        """
+        for name, bounds in sorted(delta["hist_bounds"].items()):  # type: ignore[union-attr]
+            self._hist_bounds.setdefault(name, tuple(bounds))
+        for key, value in sorted(delta["counters"].items()):  # type: ignore[union-attr]
+            self._counters[key] = self._counters.get(key, 0) + value
+        for key, value in sorted(delta["gauges"].items()):  # type: ignore[union-attr]
+            self._gauges[key] = value
+        for key, diff in sorted(delta["hist"].items()):  # type: ignore[union-attr]
+            buckets = self._hist.get(key)
+            if buckets is None:
+                self._hist[key] = list(diff)
+            else:
+                for i, inc in enumerate(diff):
+                    buckets[i] += inc
+        for key, value in sorted(delta["hist_sum"].items()):  # type: ignore[union-attr]
+            self._hist_sum[key] = self._hist_sum.get(key, 0) + value
+
 
 #: Process-global registry.  Forked shard workers inherit a memory
-#: copy; their increments travel back as a TelemetryDelta (delta.py).
+#: copy; their increments travel back through export_delta/apply_delta.
 TELEMETRY = TelemetryRegistry()
 
 StageTimer.listeners.append(TELEMETRY._on_stage)

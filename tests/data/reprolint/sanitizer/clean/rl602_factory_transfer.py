@@ -2,4 +2,4 @@
 
 
 def move_streams(source_factory, target_factory):
-    target_factory.install_states(source_factory.export_states())
+    target_factory.install_state(source_factory.export_state())

@@ -11,4 +11,4 @@ def use(factory):
 
 
 def snapshot(factory):
-    return factory.export_states()
+    return factory.export_state()

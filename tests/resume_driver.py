@@ -3,10 +3,12 @@
 
 Runs the same compressed two-network campaign as
 ``test_sharded_campaign._run`` with an optional WAL journal, an optional
-mid-day SIGKILL (the "pull the power cord" half of the contract) and an
-optional ``torn_tail`` fault plan (the "disk ate the tail" half).
-Prints the request-log digest and resume metadata for the test to
-compare across processes.
+mid-day SIGKILL (the "pull the power cord" half of the contract), an
+optional ``torn_tail`` fault plan (the "disk ate the tail" half) and an
+optional shard count (the two networks are app-disjoint, so
+``--shards 2`` runs every campaign day in two forked shards).  Prints
+the request-log digest and resume metadata for the test to compare
+across processes.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ DAYS = 12
 SEED = 31
 
 
-def build(fault_plan=None):
+def build(fault_plan=None, shards=1):
     world = World(StudyConfig(scale=SCALE, seed=SEED,
                               fault_plan=fault_plan or FaultPlan()))
     AppCatalog(world.apps, world.rng.stream("catalog"),
@@ -54,7 +56,7 @@ def build(fault_plan=None):
         network = ecosystem.network(domain)
         network.build_membership(network.profile.pool_size(SCALE))
     config = CampaignConfig.compressed(
-        DAYS, networks=NETWORKS, outgoing_per_hour=0.0, shards=1,
+        DAYS, networks=NETWORKS, outgoing_per_hour=0.0, shards=shards,
         hublaa_outage=None)
     return world, CountermeasureCampaign(world, ecosystem, config)
 
@@ -69,6 +71,8 @@ def main() -> int:
                         help="fault plan: tear the journal tail while "
                              "sealing this campaign day")
     parser.add_argument("--no-resume", action="store_true")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="campaign shard count (CampaignConfig.shards)")
     parser.add_argument("--sanitize", default=None,
                         help="record a reprosan trace and write its "
                              "manifest to this directory")
@@ -83,7 +87,7 @@ def main() -> int:
         plan = FaultPlan((FaultRule(kind="torn_tail", probability=1.0,
                                     start_day=args.torn_day,
                                     end_day=args.torn_day + 1),))
-    world, campaign = build(plan)
+    world, campaign = build(plan, shards=args.shards)
 
     recovery = None
     if args.journal:
@@ -109,6 +113,8 @@ def main() -> int:
     print("digest", world.api.log.digest())
     print("rows", len(world.api.log))
     print("resumed_from", results.resumed_from_day)
+    print("shards", results.shard_plan.effective_shards
+          if results.shard_plan is not None else 1)
     print("telemetry_fingerprint",
           TELEMETRY.fingerprint(exclude_prefixes=FINGERPRINT_EXCLUDES))
     if recovery is not None:

@@ -149,6 +149,33 @@ def test_torn_tail_is_detected_truncated_and_converges(tmp_path):
             == ref["telemetry_fingerprint"])
 
 
+def test_sharded_journaled_run_resumes_after_a_torn_tail(tmp_path,
+                                                       reference):
+    """The durable path as the benchmark runs it — sharded and
+    journaled — resumes too: a two-shard run torn while sealing day 4
+    restarts from day 4 and converges on the serial references."""
+    torn_reference = _run_driver("--torn-day", 4)
+    assert torn_reference.returncode == 0, torn_reference.stderr[-2000:]
+    torn_ref = _parse(torn_reference.stdout)
+
+    journal = tmp_path / "journal"
+    crashed = _run_driver("--shards", 2, "--journal", journal,
+                          "--torn-day", 4)
+    assert crashed.returncode != 0
+    assert "SimulatedCrash" in crashed.stderr
+
+    resumed = _run_driver("--shards", 2, "--journal", journal,
+                          "--torn-day", 4)
+    assert resumed.returncode == 0, resumed.stderr[-2000:]
+    parsed = _parse(resumed.stdout)
+    assert parsed["shards"] == "2"
+    assert parsed["resumed_from"] == "4"
+    assert parsed["digest"] == reference["digest"]
+    assert parsed["rows"] == reference["rows"]
+    assert (parsed["telemetry_fingerprint"]
+            == torn_ref["telemetry_fingerprint"])
+
+
 def test_fresh_run_over_existing_journal_starts_from_day_one(tmp_path,
                                                              reference):
     journal = tmp_path / "journal"

@@ -1,6 +1,8 @@
 """RL6xx sanitizer-coverage rules: fixture corpus, rule mechanics, and
 the load-bearing gates over the real hook surface (``rng.py`` /
-``sharding.py`` / the detection-side pragma sites)."""
+``sharding.py`` / the detection-side pragma sites).  The ``test_rl603_*``
+tests keep their names from the retired shard-capture rule: a shard
+delta's captured ``trace`` is now covered by RL402's field checks."""
 
 import re
 import textwrap
@@ -51,10 +53,12 @@ def test_rl602_fixture_pair():
 
 
 def test_rl603_fixture_pair():
-    findings = fixture_findings("rl603_dropped_capture.py")
-    assert [f.rule for f in findings] == ["RL603", "RL603"]
-    assert all("WorkDayDelta" in f.message for f in findings)
-    assert fixture_rules("rl603_captured_delta.py", kind="clean") == []
+    # A merge that never reads the delta's trace drops the shard's
+    # shadow-trace events.
+    findings = fixture_findings("rl402_trace_unread.py")
+    assert [f.rule for f in findings] == ["RL402"]
+    assert "'WorkDayDelta.trace'" in findings[0].message
+    assert fixture_rules("rl402_trace_replayed.py", kind="clean") == []
 
 
 def test_rl604_fixture_pair():
@@ -100,50 +104,49 @@ def test_rl602_leaves_module_global_state_to_rl002():
 def test_rl603_accepts_forwarding_and_local_binding():
     assert rules_of("""
         from dataclasses import dataclass
-        from typing import Optional
-
-        from repro.sanitizer.delta import capture_delta
 
         @dataclass(frozen=True)
         class HopDelta:
-            sanitizer: Optional[object]
+            trace: tuple
 
-        def direct(trace, base):
-            return HopDelta(sanitizer=capture_delta(trace, base, []))
+        def direct(sanitizer, base):
+            return HopDelta(trace=sanitizer.capture_slice(
+                base, sanitizer.capture_mark()))
 
-        def bound(trace, base):
-            grabbed = capture_delta(trace, base, [])
-            return HopDelta(sanitizer=grabbed)
+        def bound(sanitizer, base):
+            grabbed = sanitizer.capture_slice(base, sanitizer.capture_mark())
+            return HopDelta(trace=grabbed)
 
         def forwarded(other):
-            return HopDelta(sanitizer=other.sanitizer)
+            return HopDelta(trace=other.trace)
 
         def merge(delta):
-            return delta.sanitizer
+            return delta.trace
     """) == []
 
 
 def test_rl603_flags_a_name_not_bound_from_capture():
-    assert rules_of("""
+    # A construction site that omits the trace silently defaults it.
+    findings = lint_source(textwrap.dedent("""
         from dataclasses import dataclass
-        from typing import Optional
 
         @dataclass(frozen=True)
         class HopDelta:
-            sanitizer: Optional[object]
+            rows: tuple
+            trace: tuple = ()
 
-        def smuggle(trace):
-            grabbed = trace.events
-            return HopDelta(sanitizer=grabbed)
+        def smuggle(rows):
+            return HopDelta(rows=tuple(rows))
 
         def merge(delta):
-            return delta.sanitizer
-    """) == ["RL603"]
+            return delta.rows, delta.trace
+    """), path="repro/countermeasures/helpers.py")
+    assert [f.rule for f in findings] == ["RL402"]
+    assert "'HopDelta.trace' not passed explicitly" in findings[0].message
 
 
 def test_rl604_ignores_deltas_without_a_sanitizer_field_and_shells():
-    # A *Delta with no sanitizer field is RL402's business, not RL603's;
-    # and _streams access from a shell path is the sanctioned factory.
+    # _streams access from a shell path is the sanctioned factory.
     assert rules_of("""
         def peek(factory):
             return len(factory._streams)
@@ -180,25 +183,23 @@ def test_rl602_allowlist_on_the_factory_is_load_bearing():
     engine = LintEngine(allowlist={})
     findings = engine.lint_module("repro/sim/rng.py", source)
     rl602 = [f for f in findings if f.rule == "RL602"]
-    assert len(rl602) == 2          # export_states + install_states
+    assert len(rl602) == 2          # export_state + install_state
     assert LintEngine().lint_module("repro/sim/rng.py", source) == []
 
 
 def test_rl603_capture_wiring_in_sharding_is_load_bearing():
-    """Unbinding capture_delta in the real sharding module makes every
-    ShardDayDelta construction site an RL603 finding."""
+    """Removing the merge's one read of ``delta.trace`` from the real
+    sharding module leaves ShardDayDelta.trace captured but never
+    consumed — an RL402 finding."""
     source = (PACKAGE / "countermeasures" / "sharding.py").read_text(
         encoding="utf-8")
-    assert source.count("sanitizer=capture_san_delta(") == 2
-    broken = source.replace("capture_delta as capture_san_delta",
-                            "capture_delta as _unused_capture")
-    findings = lint_source(broken,
-                           path="repro/countermeasures/sharding.py")
-    assert [f.rule for f in findings if f.rule == "RL603"] == \
-        ["RL603", "RL603"]
-    clean = lint_source(source,
-                        path="repro/countermeasures/sharding.py")
-    assert [f.rule for f in clean if f.rule == "RL603"] == []
+    path = "repro/countermeasures/sharding.py"
+    assert source.count("delta.trace") == 1
+    broken = source.replace("trace = delta.trace", "trace = ()")
+    findings = lint_source(broken, path=path)
+    assert [f.rule for f in findings] == ["RL402"]
+    assert "'ShardDayDelta.trace'" in findings[0].message
+    assert lint_source(source, path=path) == []
 
 
 def test_rl604_catches_an_injected_laundering_helper():

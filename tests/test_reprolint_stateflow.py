@@ -91,18 +91,28 @@ def test_rl403_only_applies_inside_the_journal_package():
 # ----------------------------------------------------------------------
 def test_rl401_capture_pair_cross_check_both_directions():
     findings = lint_source(textwrap.dedent("""
-        def capture_windows(limiter):
-            return {"events": dict(limiter.events),
-                    "ghost": None}
+        class Windows:
+            def __init__(self):
+                self.events = {}
+                self.ghost = None
+                self.orphan = None
 
-        def install_windows(limiter, state):
-            limiter.events = state["events"]
-            limiter.extra = state["orphan"]
+            def hit(self, key):
+                self.events[key] = 1
+                self.ghost = key
+                self.orphan = key
+
+            def export_state(self):
+                return {"events": dict(self.events), "ghost": self.ghost}
+
+            def install_state(self, state):
+                self.events = dict(state["events"])
+                self.orphan = state["orphan"]
     """), path="repro/oauth/helpers.py")
     assert [f.rule for f in findings] == ["RL401", "RL401"]
     messages = " ".join(f.message for f in findings)
-    assert "'ghost'" in messages      # captured, never installed
-    assert "'orphan'" in messages     # installed, never captured
+    assert "'ghost'" in messages      # exported, never installed
+    assert "'orphan'" in messages     # installed, never exported
 
 
 def test_rl401_dict_snapshot_skip_list_must_be_justified():
@@ -203,16 +213,21 @@ def test_sharding_domains_quarantine_is_load_bearing():
 
 
 def test_recovery_checkpoint_pragma_is_load_bearing():
-    # The fixpoint sees the token table flow export_state() ->
-    # CampaignCheckpoint -> store.save(); only the justified pragma
-    # keeps the deliberate durable image lintable.
+    # Checkpoint capture reaches the token table through the parts
+    # table (part.export_state()), which the taint engine does not
+    # resolve, so recovery.py needs no RL103 pragma.  The checkpoint
+    # store is still a proven sink: saving the token store's export
+    # directly is flagged.
     source = (PACKAGE / "countermeasures" / "recovery.py").read_text(
         encoding="utf-8")
     path = "repro/countermeasures/recovery.py"
     assert lint_source(source, path=path) == []
-    stripped = _PRAGMA.sub("", source)
-    rules = [f.rule for f in lint_source(stripped, path=path)]
-    assert "RL103" in rules
+    anchor = '        self.store.save(f"day-{campaign_day:05d}", checkpoint)\n'
+    assert source.count(anchor) == 1
+    grafted = source.replace(anchor, anchor + (
+        '        self.store.save("x", campaign.world.tokens.export_state())\n'))
+    rules = [f.rule for f in lint_source(grafted, path=path)]
+    assert rules == ["RL103"]
 
 
 def test_rl401_class_pragmas_are_load_bearing():
@@ -223,6 +238,7 @@ def test_rl401_class_pragmas_are_load_bearing():
         ("collusion/network.py", "repro/collusion/network.py", False),
         ("faults/plan.py", "repro/faults/plan.py", True),
         ("graphapi/ratelimit.py", "repro/graphapi/ratelimit.py", True),
+        ("graphapi/api.py", "repro/graphapi/api.py", True),
     ]
     for rel, path, pragma_needed in cases:
         source = (PACKAGE / Path(rel)).read_text(encoding="utf-8")

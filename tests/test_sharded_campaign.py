@@ -5,9 +5,10 @@ worker per certified network component and merges the children's deltas
 back at the day boundary.  For a certified plan the merged trajectory
 must be *byte-identical* to the serial one — same request log, activity
 log, limiter windows, per-network RNG streams and daily series.  For an
-ineligible plan (the paper's default app-sharing ecosystem, outgoing
-background traffic, or an active fault plan) the campaign must fall
-back to the serial path and say why.
+ineligible plan (the paper's default app-sharing ecosystem or outgoing
+background traffic) the campaign must fall back to the serial path and
+say why.  An active fault plan does not block sharding: fault decisions
+are keyed per subject, so a faulted plan shards and stays identical.
 """
 
 from __future__ import annotations

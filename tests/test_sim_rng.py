@@ -55,13 +55,13 @@ def test_install_states_warns_on_unknown_stream_name():
 
     source = RngFactory(7)
     source.stream("known").random()
-    snapshot = source.export_states()
+    snapshot = source.export_state()
     target = RngFactory(7)
     # A typo'd checkpoint key must not silently become a pre-wound
     # stream: the install still happens (legitimate late-created
     # streams keep working) but it is reported.
     with pytest.warns(RuntimeWarning, match="'tpyo' does not exist"):
-        target.install_states({"tpyo": snapshot["known"]})
+        target.install_state({"tpyo": snapshot["known"]})
     assert (target.stream("tpyo").random()
             == source.stream("known").random())
 
@@ -75,6 +75,6 @@ def test_install_states_known_names_do_not_warn():
     target.stream("known")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        target.install_states(source.export_states())
+        target.install_state(source.export_state())
     assert (target.stream("known").random()
             == source.stream("known").random())

@@ -27,10 +27,8 @@ from repro.telemetry import (
     TRACER,
     TelemetryRegistry,
     Tracer,
-    capture_delta,
     chrome_trace,
     histogram_quantiles,
-    merge_delta,
     metrics_json,
     prometheus_text,
     render_metrics,
@@ -132,12 +130,12 @@ def test_delta_capture_and_merge_reproduce_serial_totals(registry):
     registry.gauge_set("g", 9)
     registry.observe("wave_size", 700, stage="campaign")
     serial_print = registry.fingerprint()
-    delta = capture_delta(registry, base)
+    delta = registry.export_delta(base)
 
     # Rewind to the base and merge the delta back in.
     parent = TelemetryRegistry()
     parent.install_state(base)
-    merge_delta(parent, delta)
+    parent.apply_delta(delta)
     assert parent.fingerprint() == serial_print
 
 
@@ -145,8 +143,8 @@ def test_delta_only_ships_changed_series(registry):
     registry.count("unchanged_total", 4)
     base = registry.export_state()
     registry.count("changed_total", 1)
-    delta = capture_delta(registry, base)
-    names = {name for name, _ in delta.counters}
+    delta = registry.export_delta(base)
+    names = {name for name, _ in delta["counters"]}
     assert names == {"changed_total"}
 
 
