@@ -171,24 +171,15 @@ class CollusionNetwork:
         self._requests_today: Dict[str, int] = {}
         self._accounted_day = -1
 
-        # Batched-delivery health: after a failed all-or-nothing chunk
-        # (token invalidation storms, limit pressure) stay on the scalar
-        # path for a while instead of paying sample-rollback-replay on
-        # every chunk; the backoff doubles while failures persist.
         # ``batch_requests_enabled = False`` forces the scalar path
         # everywhere (the two are RNG-stream equivalent; the flag exists
         # for equivalence tests and debugging).
         self.batch_requests_enabled = True
-        self._batch_cooldown = 0
-        self._batch_backoff = self._BATCH_CHUNK
         # Resilience: transient API failures (fault injection) are
         # retried with deterministic backoff and a per-endpoint circuit
-        # breaker; a chunk that keeps failing degrades the network to
-        # the scalar path for the rest of the day.  All of this is inert
-        # (and free) while the world has no fault plan.
+        # breaker.  All of this is inert (and free) while the world has
+        # no fault plan.
         self.retry_policy = RetryPolicy()
-        self._batch_fail_streak = 0
-        self._batch_degraded_day = -1
 
         # IP health for today.
         self._exhausted_ips: Set[str] = set()
@@ -550,40 +541,12 @@ class CollusionNetwork:
             return DeliveryReport(requested=count, delivered=0, attempts=0)
         return self._deliver_likes(post_id, count, exclude={requester_id})
 
-    #: Pairs sampled per optimistic batch chunk.
-    _BATCH_CHUNK = 48
-    #: Don't bother batching tails smaller than this.
-    _BATCH_MIN = 8
-    #: Backoff ceiling, in scalar iterations between batch probes.
-    _BATCH_BACKOFF_MAX = 4096
-    #: Consecutive chunk failures before degrading to scalar delivery
-    #: for the rest of the day (fault-plan runs only).
-    _BATCH_DEGRADE_STREAK = 6
-
-    def _batch_failed(self) -> None:
-        self._batch_cooldown = self._batch_backoff
-        self._batch_backoff = min(self._batch_backoff * 2,
-                                  self._BATCH_BACKOFF_MAX)
-        if self.world.faults is not None:
-            self._batch_fail_streak += 1
-            if self._batch_fail_streak >= self._BATCH_DEGRADE_STREAK:
-                day = self.world.clock.day()
-                if self._batch_degraded_day != day and TELEMETRY.enabled:
-                    TELEMETRY.count("wave_degradations_total",
-                                    network=self.domain)
-                self._batch_degraded_day = day
-
-    def _batching_active(self) -> bool:
-        """Whether the all-or-nothing fast path should be probed."""
-        return (self.batch_requests_enabled
-                and self._batch_degraded_day != self.world.clock.day())
-
     def _deliver_likes(self, post_id: str, quota: int,
                        exclude: Set[str]) -> DeliveryReport:
         report = DeliveryReport(requested=quota, delivered=0, attempts=0)
         used: Set[str] = set(exclude)
         budget = max(1, int(quota * self.profile.retry_factor))
-        if self._batching_active():
+        if self.batch_requests_enabled:
             self._deliver_likes_wave(post_id, quota, budget, used, report)
         else:
             self._deliver_likes_scalar(post_id, quota, budget, used, report)
@@ -624,11 +587,9 @@ class CollusionNetwork:
         This is the wave path's verification oracle — a wave run must
         produce this loop's exact RNG stream, log rows and report (see
         tests/test_batch_equivalence.py) — and the live path whenever
-        batching is disabled or degraded for the day."""
+        batching is disabled."""
         while (report.delivered < quota and report.attempts < budget
                and not report.halted):
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
             report.attempts += 1
             member = self._sample_member(used)
             if member is None:
@@ -642,88 +603,24 @@ class CollusionNetwork:
                             used: Set[str], report: DeliveryReport) -> None:
         """Planned-wave delivery: the whole round in bulk admission.
 
-        Fault-free there is exactly one wave — every entry flows through
-        one :class:`~repro.graphapi.api.DeliveryWave` with memoized
+        Every entry flows through one
+        :class:`~repro.graphapi.api.DeliveryWave` with memoized
         token/limiter state, and the log rows and window hits land in
-        one flush.  Under an active fault plan the round is paced in
-        chunk-sized segments: each segment rolls the plan's chunk rules
-        (on the dedicated chunk stream) before it opens, a firing rule
-        trips the usual circuit breaker — cooldown with exponential
-        backoff, served through the scalar oracle so the per-entry
-        stream stays byte-identical — and a backoff streak degrades the
-        network to scalar delivery for the rest of the day."""
-        inj = self.world.faults
-        api = self.world.api
-        if inj is None:
-            wave = api.delivery_wave(post_id)
-            try:
-                self._wave_like_run(wave, -1, quota, budget, used, report)
-            finally:
-                wave.finish()
-            return
-        while (report.delivered < quota and report.attempts < budget
-               and not report.halted):
-            if self._batch_degraded_day == self.world.clock.day():
-                self._deliver_likes_scalar(post_id, quota, budget, used,
-                                           report)
-                return
-            if self._batch_cooldown > 0:
-                if self._cooldown_like_stretch(post_id, quota, budget,
-                                               used, report):
-                    return
-                continue
-            room = min(quota - report.delivered, budget - report.attempts)
-            if room < self._BATCH_MIN:
-                # Tails below the chunk floor always ran scalar.
-                self._deliver_likes_scalar(post_id, quota, budget, used,
-                                           report)
-                return
-            if inj.decide_chunk(min(room, self._BATCH_CHUNK),
-                                key=self.domain):
-                self._batch_failed()
-                continue
-            wave = api.delivery_wave(post_id)
-            try:
-                stalled = self._wave_like_run(
-                    wave, min(room, self._BATCH_CHUNK), quota, budget,
-                    used, report)
-            finally:
-                wave.finish()
-            self._batch_backoff = self._BATCH_CHUNK
-            self._batch_fail_streak = 0
-            if stalled:
-                return
+        one flush.  Under a fault plan the wave rolls the plan and
+        re-checks token validity per entry, and transient codes are
+        retried inside the wave, so the round replays the scalar
+        oracle's stream."""
+        wave = self.world.api.delivery_wave(post_id)
+        try:
+            self._wave_like_run(wave, quota, budget, used, report)
+        finally:
+            wave.finish()
 
-    def _cooldown_like_stretch(self, post_id: str, quota: int, budget: int,
-                               used: Set[str],
-                               report: DeliveryReport) -> bool:
-        """Serve the circuit-breaker backoff through the scalar oracle.
-
-        One cooldown tick per request, exactly like the scalar loop;
-        returns True when the member pool ran dry (delivery must stop).
-        The caller opens a fresh wave afterwards — the interlude mutates
-        the live limiter deques, so any prior wave's memoized capacities
-        are stale by construction (waves are finished before this runs).
-        """
-        while (self._batch_cooldown > 0 and report.delivered < quota
-               and report.attempts < budget and not report.halted):
-            self._batch_cooldown -= 1
-            report.attempts += 1
-            member = self._sample_member(used)
-            if member is None:
-                return True
-            if self._perform_like(member, post_id, report):
-                used.add(member)
-                report.delivered += 1
-        return False
-
-    def _wave_like_run(self, wave, seg: int, quota: int, budget: int,
-                       used: Set[str], report: DeliveryReport) -> bool:
-        """Run up to ``seg`` delivery entries through ``wave``
-        (``seg < 0`` = unbounded).  Per-entry RNG draws, verdict
-        handling and report bookkeeping mirror
-        :meth:`_deliver_likes_scalar` + :meth:`_perform_like` exactly.
-        Returns True when the member pool ran dry."""
+    def _wave_like_run(self, wave, quota: int, budget: int,
+                       used: Set[str], report: DeliveryReport) -> None:
+        """Run one delivery round's entries through ``wave``.  Per-entry
+        RNG draws, verdict handling and report bookkeeping mirror
+        :meth:`_deliver_likes_scalar` + :meth:`_perform_like` exactly."""
         sample_member = self._sample_member
         token_get = self.token_db.get
         pick_ip = self._pick_ip
@@ -733,13 +630,10 @@ class CollusionNetwork:
         now = self.world.clock._now
         while (report.delivered < quota and report.attempts < budget
                and not report.halted):
-            if seg == 0:
-                return False
-            seg -= 1
             report.attempts += 1
             member = sample_member(used)
             if member is None:
-                return True
+                return
             token = token_get(member)
             if token is None:
                 continue
@@ -747,7 +641,7 @@ class CollusionNetwork:
             if ip is None:
                 report.blocked += 1
                 report.halted = True
-                return False
+                return
             code = wave_like(token, ip)
             if code in _TRANSIENT_CODES:
                 before = counters["retries"]
@@ -786,7 +680,6 @@ class CollusionNetwork:
             self._note_use(member)
             used.add(member)
             report.delivered += 1
-        return False
 
     def _perform_like(self, member: str, post_id: str,
                       report: DeliveryReport) -> bool:
@@ -1122,24 +1015,26 @@ class CollusionNetwork:
         if count <= 0:
             return 0
         total = 0
-        if not self._batching_active():
+        if not self.batch_requests_enabled:
+            charge = self.world.api.try_charge_like
             for _ in range(count):
-                total += self._serve_one_background_scalar()
+                total += self._serve_one_background(charge)
             return total
-        if self.world.faults is None:
-            # One charge wave spans the whole serving event: every
-            # request in it shares this clock instant, so token lookups
-            # and window capacities memoize across requests and the
-            # limiter hits land in a single flush.
-            wave = self.world.api.delivery_wave()
-            try:
+        # One charge wave spans the whole serving event: every request
+        # in it shares this clock instant, so token lookups and window
+        # capacities memoize across requests and the limiter hits land
+        # in a single flush.
+        wave = self.world.api.delivery_wave()
+        try:
+            if self.world.faults is None:
                 for _ in range(count):
                     total += self._serve_one_background_wave(wave)
-            finally:
-                wave.finish()
-            return total
-        for _ in range(count):
-            total += self._serve_one_background_faulty()
+            else:
+                charge = wave.charge
+                for _ in range(count):
+                    total += self._serve_one_background(charge)
+        finally:
+            wave.finish()
         return total
 
     def _background_entry(self, charge, used: Set[str]) -> Optional[int]:
@@ -1180,22 +1075,17 @@ class CollusionNetwork:
         used.add(member)
         return 1
 
-    def _serve_one_background_scalar(self) -> int:
-        """Scalar oracle for one background request (and the live path
-        while batching is disabled or degraded)."""
+    def _serve_one_background(self, charge) -> int:
+        """One background request, one :meth:`_background_entry` per
+        attempt: the scalar oracle (``charge`` is
+        :meth:`GraphApi.try_charge_like`) and the fault-plan wave path
+        (``charge`` is the open wave's ``charge``)."""
         quota = self.profile.likes_per_request
         budget = max(1, int(quota * self.profile.retry_factor))
         delivered = 0
         attempts = 0
         used: Set[str] = set()
-        api = self.world.api
-
-        def charge(token: str, ip: str) -> Optional[str]:
-            return api.try_charge_like(token, source_ip=ip)
-
         while delivered < quota and attempts < budget:
-            if self._batch_cooldown > 0:
-                self._batch_cooldown -= 1
             attempts += 1
             got = self._background_entry(charge, used)
             if got is None:
@@ -1248,57 +1138,4 @@ class CollusionNetwork:
                 continue
             used.add(member)
             delivered += 1
-        return delivered
-
-    def _serve_one_background_faulty(self) -> int:
-        """One background request under an active fault plan: waves are
-        paced in chunk-sized segments with the same chunk-rule probes,
-        circuit breaker and scalar-oracle cooldown stretches as
-        :meth:`_deliver_likes_wave`."""
-        inj = self.world.faults
-        api = self.world.api
-        quota = self.profile.likes_per_request
-        budget = max(1, int(quota * self.profile.retry_factor))
-        delivered = 0
-        attempts = 0
-        used: Set[str] = set()
-
-        def scalar_charge(token: str, ip: str) -> Optional[str]:
-            return api.try_charge_like(token, source_ip=ip)
-
-        while delivered < quota and attempts < budget:
-            room = min(quota - delivered, budget - attempts)
-            if (self._batch_degraded_day == self.world.clock.day()
-                    or self._batch_cooldown > 0
-                    or room < self._BATCH_MIN):
-                if self._batch_cooldown > 0:
-                    self._batch_cooldown -= 1
-                attempts += 1
-                got = self._background_entry(scalar_charge, used)
-                if got is None:
-                    break
-                delivered += got
-                continue
-            seg = min(room, self._BATCH_CHUNK)
-            if inj.decide_chunk(seg, key=self.domain):
-                self._batch_failed()
-                continue
-            wave = api.delivery_wave()
-            stop = False
-            try:
-                charge = wave.charge
-                while seg > 0 and delivered < quota and attempts < budget:
-                    seg -= 1
-                    attempts += 1
-                    got = self._background_entry(charge, used)
-                    if got is None:
-                        stop = True
-                        break
-                    delivered += got
-            finally:
-                wave.finish()
-            self._batch_backoff = self._BATCH_CHUNK
-            self._batch_fail_streak = 0
-            if stop:
-                break
         return delivered

@@ -68,8 +68,7 @@ class World:
         plan = self.config.fault_plan
         if plan:
             self.faults = FaultInjector(
-                plan, self.rng.stream("faults"), self.clock, self.tokens,
-                chunk_rng=self.rng.stream("faults:chunk"))
+                plan, self.rng.stream("faults"), self.clock, self.tokens)
             self.api.faults = self.faults
 
         # Third-party web services.

@@ -2,10 +2,11 @@
 
 ``repro.faults`` makes the §6 countermeasure experiments honest about
 failure: a seeded :class:`FaultPlan` injects transient Graph API errors,
-timeouts, rate-limit jitter, mid-flight token invalidations and batch
-chunk failures at the :class:`~repro.graphapi.api.GraphApi` choke
-points, while :class:`RetryPolicy` / :class:`CircuitBreaker` give the
-consumers (collusion delivery loops, the honeypot milker) the retrying,
+timeouts, rate-limit jitter and mid-flight token invalidations at the
+:class:`~repro.graphapi.api.GraphApi` choke points (and crashed shard
+workers and torn journal tails in the campaign runtime), while
+:class:`RetryPolicy` / :class:`CircuitBreaker` give the consumers
+(collusion delivery loops, the honeypot milker) the retrying,
 backing-off behaviour the paper observed in real collusion networks.
 
 Everything is deterministic under a fixed seed: an empty plan consumes

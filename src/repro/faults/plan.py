@@ -16,11 +16,6 @@ describing *one* failure mode injected into the Graph API data plane:
     the request's access token is invalidated *mid-flight* (the request
     then fails through the normal ``invalid_token`` path and the token
     stays dead, as in the §6.2 invalidation countermeasure);
-``chunk``
-    a chunk-sized delivery-wave segment fails wholesale before it
-    opens, tripping the network's circuit breaker: the backoff is served
-    through the scalar path, and a failure streak degrades the network
-    to scalar delivery for the rest of the day;
 ``child_crash``
     a forked shard worker SIGKILLs itself partway through its day — the
     :class:`~repro.countermeasures.sharding.ShardSupervisor` must detect
@@ -42,7 +37,7 @@ on the global interleaving of other subjects' requests.  That is what
 lets a certified shard plan fork fault-injected components: each child
 reproduces exactly the draws its own tokens would have seen serially.
 The namespace seeds still come from the dedicated ``faults`` RNG
-streams, so a fixed plan remains fully deterministic under a fixed
+stream, so a fixed plan remains fully deterministic under a fixed
 master seed and an absent plan consumes no randomness at all.
 """
 
@@ -58,13 +53,10 @@ from repro.sim.clock import SimClock
 
 #: The failure modes a rule may inject.
 FAULT_KINDS = ("transient", "timeout", "rate_limit", "invalidate_token",
-               "chunk", "child_crash", "torn_tail")
-
-#: Kinds that are not per-request scalar decisions.
-_STRUCTURAL_KINDS = frozenset({"chunk", "child_crash", "torn_tail"})
+               "child_crash", "torn_tail")
 
 #: Pseudo-action key used by the charge-only admission path (there is no
-#: ApiAction for it; see GraphApi.charge_like).
+#: ApiAction for it; see GraphApi.try_charge_like and DeliveryWave.charge).
 CHARGE_ACTION = "CHARGE_LIKE"
 
 
@@ -76,8 +68,8 @@ class FaultRule:
     (``end_day`` exclusive, ``None`` = forever).  ``actions`` restricts
     the rule to a set of Graph API action names (e.g. ``"LIKE_POST"``,
     ``"COMMENT"``, or :data:`CHARGE_ACTION` for the charge-only path);
-    ``None`` matches every action.  ``chunk``, ``child_crash`` and
-    ``torn_tail`` rules ignore ``actions``.
+    ``None`` matches every action.  ``child_crash`` and ``torn_tail``
+    rules ignore ``actions``.
     """
 
     kind: str
@@ -171,17 +163,17 @@ class FaultPlan:
             handle.write(self.to_json() + "\n")
 
 
-# The per-day rule caches (_cached_day/_scalar_rules/_chunk_rules/
-# _crash_rules/_torn_rules) are pure functions of the immutable plan
-# and the queried day, rebuilt on first use after any resume — they
-# carry no state a snapshot could lose.
+# The per-day rule caches (_cached_day/_scalar_rules/_crash_rules/
+# _torn_rules) are pure functions of the immutable plan and the queried
+# day, rebuilt on first use after any resume — they carry no state a
+# snapshot could lose.
 class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are derived per-day caches rebuilt from the immutable plan
     """Binds a :class:`FaultPlan` to a clock, an RNG stream and the
     token store, and answers the Graph API's "does this request fail?"
     questions.
 
     Decisions are position-independent: every roll hashes a namespace
-    seed, the subject key (access token, network domain or day) and a
+    seed, the subject key (access token, day or day and network) and a
     per-key draw counter, so a subject's fault trajectory depends only
     on its *own* request history.  Serial and sharded execution — and a
     resumed run that restores the draw counters from a checkpoint —
@@ -190,27 +182,19 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
     """
 
     def __init__(self, plan: FaultPlan, rng: random.Random,
-                 clock: SimClock, tokens=None,
-                 chunk_rng: Optional[random.Random] = None) -> None:
+                 clock: SimClock, tokens=None) -> None:
         self.plan = plan
         self.rng = rng
-        # Chunk decisions key off their own namespace seed so the scalar
-        # fault draws stay identical whether deliveries run as waves
-        # (which probe per segment) or through the scalar oracle (which
-        # never probes) — the wave/scalar equivalence contract depends
-        # on it.
-        self.chunk_rng = chunk_rng if chunk_rng is not None else rng
         self.clock = clock
         self.tokens = tokens
         self.counters: Dict[str, int] = {}
-        # Namespace seeds, derived once from the dedicated fault streams
+        # Namespace seeds, derived once from the dedicated fault stream
         # (fixed draw order => reproducible under a fixed master seed).
         self._seeds: Dict[str, int] = {
             "s": rng.getrandbits(64),
             "crash": rng.getrandbits(64),
             "torn": rng.getrandbits(64),
         }
-        self._seeds["c"] = self.chunk_rng.getrandbits(64)
         #: Draw counters keyed by (namespace, subject key).
         self._draws: Dict[Tuple[str, str], int] = {}
         #: Invalidations performed by this injector, in decision order —
@@ -221,24 +205,20 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
         # hot paths only scan what can match them.
         self._cached_day = -1
         self._scalar_rules: List[FaultRule] = []
-        self._chunk_rules: List[FaultRule] = []
         self._crash_rules: List[FaultRule] = []
         self._torn_rules: List[FaultRule] = []
 
     def _refresh(self, day: int) -> None:
         self._cached_day = day
         scalar: List[FaultRule] = []
-        chunk: List[FaultRule] = []
         crash: List[FaultRule] = []
         torn: List[FaultRule] = []
-        buckets = {"chunk": chunk, "child_crash": crash,
-                   "torn_tail": torn}
+        buckets = {"child_crash": crash, "torn_tail": torn}
         for rule in self.plan.rules:
             if not rule.active_on(day):
                 continue
             buckets.get(rule.kind, scalar).append(rule)
         self._scalar_rules = scalar
-        self._chunk_rules = chunk
         self._crash_rules = crash
         self._torn_rules = torn
 
@@ -286,21 +266,6 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
                         (access_token, "fault_injection"))
             return kind
         return None
-
-    def decide_chunk(self, size: int, key: str = "") -> bool:
-        """Whether a wave segment of ``size`` requests fails wholesale.
-
-        ``key`` names the batching subject (the network domain) so chunk
-        draws shard cleanly with it.
-        """
-        day = self.clock.day()
-        if day != self._cached_day:
-            self._refresh(day)
-        for rule in self._chunk_rules:
-            if self._draw("c", key) < rule.probability:
-                self._count("chunk")
-                return True
-        return False
 
     def decide_child_crash(self, day: int, domain: str,
                            n_events: int) -> Optional[int]:
@@ -403,8 +368,8 @@ def transient_plan(probability: float = 0.05,
 
 
 def chaos_plan(transient: float = 0.05, timeout: float = 0.01,
-               rate_limit: float = 0.01, invalidate: float = 0.001,
-               chunk: float = 0.05) -> FaultPlan:
+               rate_limit: float = 0.01,
+               invalidate: float = 0.001) -> FaultPlan:
     """Every failure mode at once — the chaos-smoke configuration."""
     rules = []
     if transient > 0:
@@ -416,6 +381,4 @@ def chaos_plan(transient: float = 0.05, timeout: float = 0.01,
     if invalidate > 0:
         rules.append(FaultRule(kind="invalidate_token",
                                probability=invalidate))
-    if chunk > 0:
-        rules.append(FaultRule(kind="chunk", probability=chunk))
     return FaultPlan(tuple(rules))

@@ -74,7 +74,8 @@ class GraphApi:  # reprolint: disable=RL401 — _asn_cache/_charge_token_cache a
         #: single attribute check — an empty plan is byte-identical to a
         #: build without the subsystem.
         self.faults = None
-        #: Aggregate counters for the charge-only path (see charge_like).
+        #: Aggregate counters for the charge-only path (see
+        #: try_charge_like).
         self.charge_counters: Dict[str, int] = {"likes": 0}
         # Source IPs are drawn from static pools, so IP->ASN memoizes well.
         self._asn_cache: Dict[str, Optional[int]] = {}
@@ -263,73 +264,27 @@ class GraphApi:  # reprolint: disable=RL401 — _asn_cache/_charge_token_cache a
     # ------------------------------------------------------------------
     # Charge-only path
     # ------------------------------------------------------------------
-    def charge_like(self, access_token: str,
-                    source_ip: Optional[str] = None,
-                    appsecret_proof: Optional[str] = None) -> None:
-        """Run the full admission path for a like without the platform
-        write.
-
-        Used to model a network's bulk workload (likes on arbitrary
-        member posts): tokens, app-secret proofs, AS blocks and IP/token
-        rate limits are all enforced and charged exactly as in
-        :meth:`execute`, but no content is materialized and nothing is
-        appended to the request log.  Aggregate volume is tracked in
-        :attr:`charge_counters`.
-        """
-        now = self.clock.now()
-        inj = self.faults
-        if inj is not None:
-            fault = inj.decide("CHARGE_LIKE", access_token)
-            if fault is not None:
-                self._raise_fault(fault, access_token)
-        cached = self._charge_token_cache.get(access_token)
-        if cached is None:
-            token = self.tokens.validate(access_token)
-            app = self.apps.get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._charge_token_cache[access_token] = (token, app, granted)
-        else:
-            token, app, granted = cached
-            if token.invalidated:
-                raise InvalidTokenError(
-                    f"access token invalidated "
-                    f"({token.invalidation_reason})")
-            if token.is_expired(now):
-                raise InvalidTokenError("access token expired")
-        if app.security.require_app_secret and appsecret_proof != app.secret:
-            if not verify_appsecret_proof(app.secret, access_token,
-                                          appsecret_proof or ""):
-                raise AppSecretRequiredError(app.app_id)
-        if not granted:
-            raise PermissionDeniedError(Permission.PUBLISH_ACTIONS.value)
-        if self.policy.blocked_asns_by_app:
-            asn = self._resolve_asn(source_ip)
-            if self.policy.is_as_blocked(app.app_id, asn):
-                raise BlockedSourceError(source_ip or "?", asn)
-        violated = self.enforcer.admit_like(token.token, source_ip, now)
-        if violated == "token":
-            raise RateLimitExceededError(redact_token(token.token))
-        if violated is not None:
-            raise IpRateLimitError(source_ip or "?", violated)
-        self.charge_counters["likes"] += 1
-
     def try_charge_like(self, access_token: str,
                         source_ip: Optional[str] = None,
                         appsecret_proof: Optional[str] = None
                         ) -> Optional[str]:
-        """Non-raising :meth:`charge_like`.
+        """Run the full admission path for a like without the platform
+        write.
 
-        Identical enforcement, charges and counters, but rejections come
-        back as a code instead of an exception — ``None`` on success,
-        else ``"invalid_token"`` / ``"app_secret"`` / ``"permission"`` /
-        ``"blocked"`` / ``"token_limit"`` / ``"ip_limit"``.  Bulk
-        delivery loops reject millions of requests once the §6
-        countermeasures bite; returning a code keeps that path free of
-        exception construction and unwinding.
+        Models a network's bulk workload (likes on arbitrary member
+        posts): tokens, app-secret proofs, AS blocks and IP/token rate
+        limits are all enforced and charged exactly as in
+        :meth:`execute`, but no content is materialized and nothing is
+        appended to the request log.  Aggregate volume is tracked in
+        :attr:`charge_counters`.  Rejections come back as a code —
+        ``None`` on success, else ``"invalid_token"`` /
+        ``"app_secret"`` / ``"permission"`` / ``"blocked"`` /
+        ``"token_limit"`` / ``"ip_limit"``.
+
+        Campaigns serve this workload through
+        :meth:`DeliveryWave.charge`; this per-request method is its
+        verification oracle (``batch_requests_enabled = False``).
         """
-        # Direct attribute reads of the shared clock / token expiry: this
-        # is the single hottest call site in the simulator, so the method
-        # wrappers are bypassed (the semantics are identical).
         now = self.clock._now
         inj = self.faults
         if inj is not None:
@@ -365,39 +320,11 @@ class GraphApi:  # reprolint: disable=RL401 — _asn_cache/_charge_token_cache a
             asn = self._resolve_asn(source_ip)
             if policy.is_as_blocked(app.app_id, asn):
                 return "blocked"
-        enforcer = self.enforcer
-        limiter = enforcer._token_limiter
-        if (policy.ip_likes_per_day is None
-                and policy.ip_likes_per_week is None
-                and limiter.limit == policy.token_actions_per_day):
-            # Inlined token-only admission (admit_like's fast path):
-            # this is the million-plus-per-day rejection loop once §6.1
-            # tightens the budget, so spare it the extra frames.  The
-            # policy-field gate doubles as the _sync() check — any other
-            # configuration (IP limits on, token limit just changed)
-            # falls through to admit_like, which re-syncs the limiters.
-            until = limiter._saturated_until.get(access_token)
-            if until is not None:
-                if now < until:
-                    return "token_limit"
-                del limiter._saturated_until[access_token]
-            events = limiter._events.get(access_token)
-            if events is None:
-                events = limiter._events[access_token] = deque()
-            else:
-                horizon = now - limiter.window_seconds
-                while events and events[0] <= horizon:
-                    events.popleft()
-            if len(events) >= limiter.limit:
-                limiter.mark_saturated(access_token, events)
-                return "token_limit"
-            events.append(now)
-        else:
-            violated = enforcer.admit_like(token.token, source_ip, now)
-            if violated == "token":
-                return "token_limit"
-            if violated is not None:
-                return "ip_limit"
+        violated = self.enforcer.admit_like(token.token, source_ip, now)
+        if violated == "token":
+            return "token_limit"
+        if violated is not None:
+            return "ip_limit"
         self.charge_counters["likes"] += 1
         return None
 
@@ -822,9 +749,9 @@ class DeliveryWave:
     def finish(self) -> None:
         """Flush pending limiter charges, log rows and counters.
 
-        Idempotent; the wave must not be used again afterwards (a
-        scalar interlude — e.g. a fault-plan cooldown — invalidates the
-        memoized window capacities, so callers open a fresh wave)."""
+        Idempotent; the wave must not be used again afterwards (any
+        later limiter traffic invalidates its memoized window
+        capacities, so callers open a fresh wave)."""
         if self._finished:
             return
         self._finished = True

@@ -94,9 +94,6 @@ class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted 
         """Events currently counted against ``key``."""
         return len(self._evict(key, now))
 
-    def allow(self, key: str, now: int) -> bool:
-        return len(self._evict(key, now)) < self.limit
-
     def hit(self, key: str, now: int) -> None:
         self._evict(key, now).append(now)
 
@@ -239,11 +236,11 @@ class PolicyEnforcer:
 
     def admit_like(self, token: str, source_ip: Optional[str],
                    now: int) -> Optional[str]:
-        """Fused :meth:`admit_ip_like` + :meth:`admit_token_action`.
+        """Check-and-record one like: the source IP's daily and weekly
+        windows (§6.4), then the token's action budget (§6.1).
 
-        One policy sync and one eviction pass per limiter instead of
-        five; charges exactly as the two-call sequence does (IP windows
-        are charged even when the token budget then rejects).  Returns
+        IP windows are charged even when the token budget then rejects;
+        a request without a source IP is never IP-limited.  Returns
         ``None`` if admitted, else the violated limit name (``"daily"``
         / ``"weekly"`` / ``"token"``).
         """
@@ -364,28 +361,6 @@ class PolicyEnforcer:
         for name, limiter in self._limiters().items():
             if limiter is not None and name in state:
                 limiter.install_state(state[name])
-
-    def admit_ip_like(self, source_ip: Optional[str], now: int) -> Optional[str]:
-        """Check-and-record one like from ``source_ip``.
-
-        Returns None if admitted, otherwise the name of the violated
-        window ("daily" / "weekly").  Requests without a source IP are
-        never IP-limited.
-        """
-        self._sync()
-        if source_ip is None:
-            return None
-        if (self._ip_day_limiter is not None
-                and not self._ip_day_limiter.allow(source_ip, now)):
-            return "daily"
-        if (self._ip_week_limiter is not None
-                and not self._ip_week_limiter.allow(source_ip, now)):
-            return "weekly"
-        if self._ip_day_limiter is not None:
-            self._ip_day_limiter.hit(source_ip, now)
-        if self._ip_week_limiter is not None:
-            self._ip_week_limiter.hit(source_ip, now)
-        return None
 
 
 class LikeWaveAdmitter:

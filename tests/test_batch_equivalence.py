@@ -18,14 +18,13 @@ from repro.experiments import export, runner
 from repro.faults.plan import FaultPlan, FaultRule
 
 #: An actively hostile plan for the fault-equivalence tests: transient
-#: errors on the delivery and charge paths, occasional mid-flight token
-#: invalidation, and chunk failures that trip the wave circuit breaker.
+#: errors on the delivery and charge paths and occasional mid-flight
+#: token invalidation.
 FAULT_PLAN = FaultPlan((
     FaultRule(kind="transient", probability=0.01,
               actions=frozenset({"LIKE_POST", "CHARGE_LIKE"})),
     FaultRule(kind="invalidate_token", probability=0.0005,
               actions=frozenset({"LIKE_POST"})),
-    FaultRule(kind="chunk", probability=0.02),
 ))
 
 
@@ -117,11 +116,10 @@ def faulted_scalar():
 
 
 def test_faulted_wave_matches_scalar(faulted_batched, faulted_scalar):
-    """Chunk faults pace the wave into segments, transients trip retries
-    and mid-flight invalidations kill tokens — and the wave path must
-    still replay the scalar trajectory byte for byte: same fault
-    decisions (the scalar stream is shared; chunk rolls live on their
-    own dedicated stream), same log rows, same charges."""
+    """Transients trip retries inside the wave and mid-flight
+    invalidations kill tokens between its entries — and the wave path
+    must still replay the scalar trajectory byte for byte: same fault
+    decisions, same log rows, same charges."""
     batched_world = faulted_batched.world
     scalar_world = faulted_scalar.world
     assert len(batched_world.api.log) == len(scalar_world.api.log)
@@ -129,13 +127,8 @@ def test_faulted_wave_matches_scalar(faulted_batched, faulted_scalar):
             == _log_digest(scalar_world.api.log))
     assert (batched_world.api.charge_counters
             == scalar_world.api.charge_counters)
-    # Identical per-kind scalar fault decisions; chunk decisions are
-    # wave-only by design (the scalar path never opens a chunk).
-    batched_counts = dict(batched_world.faults.counters)
-    scalar_counts = dict(scalar_world.faults.counters)
-    batched_counts.pop("chunk", None)
-    scalar_counts.pop("chunk", None)
-    assert batched_counts == scalar_counts
+    # Identical per-kind fault decisions.
+    assert batched_world.faults.counters == scalar_world.faults.counters
     # Per-network RNG streams ended in the same state.
     for domain, network in faulted_batched.ecosystem.networks.items():
         scalar_network = faulted_scalar.ecosystem.networks[domain]
@@ -151,20 +144,19 @@ def test_faulted_report_matches_scalar(faulted_batched, faulted_scalar):
 
 
 def test_faults_actually_fired(faulted_batched, faulted_scalar):
-    # Non-vacuous: the plan injected faults in both runs, and the wave
-    # run rolled its chunk rules.
+    # Non-vacuous: the plan injected faults in both runs, and the
+    # faulted batched run delivered through waves.
     assert faulted_scalar.world.faults.total_injected() > 0
     assert faulted_batched.world.faults.counters.get("transient", 0) > 0
-    assert faulted_batched.world.faults.counters.get("chunk", 0) > 0
+    assert faulted_batched.wave_calls["delivery_wave"] > 0
 
 
 def test_delivery_attempts_stay_within_budget(faulted_batched,
                                               faulted_scalar):
     """Attempt accounting regression: a delivery round's ``attempts``
     is bounded by its retry budget and never below ``delivered`` — a
-    chunk fallback must not double-count the entries it re-walks
-    through the scalar loop.  Both studies left identical state, so one
-    further request must also produce field-identical reports."""
+    retried entry counts once.  Both studies left identical state, so
+    one further request must also produce field-identical reports."""
     probes = {}
     for name, artifacts in (("wave", faulted_batched),
                             ("scalar", faulted_scalar)):

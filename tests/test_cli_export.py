@@ -128,3 +128,20 @@ def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     assert len(run["log_digest"]) == 32
     assert run["log_digest"] != digest
     assert run["shard_blockers"] == []
+
+
+def test_cli_run_rejects_a_plan_with_an_unknown_kind(tmp_path, capsys):
+    """A plan file naming a fault kind the injector does not know fails
+    to load: `repro run` exits 2 before building anything."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"rules": [{"kind": "chunk", "probability": 0.05}]}))
+    checkpoints = tmp_path / "ckpt"
+    assert main(["run", "--faults", str(plan),
+                 "--checkpoint-dir", str(checkpoints),
+                 "--scale", "0.001", "--milking-days", "1",
+                 "--campaign-days", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot load fault plan {plan}" in err
+    assert "unknown fault kind 'chunk'" in err
+    assert not checkpoints.exists() or not any(checkpoints.iterdir())

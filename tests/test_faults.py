@@ -36,6 +36,8 @@ from repro.sim.rng import RngFactory
 def test_rule_validation():
     with pytest.raises(ValueError):
         FaultRule(kind="nope", probability=0.1)
+    with pytest.raises(ValueError, match="unknown fault kind 'chunk'"):
+        FaultRule(kind="chunk", probability=0.1)
     with pytest.raises(ValueError):
         FaultRule(kind="transient", probability=1.5)
     with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ def test_empty_plan_is_falsy():
     assert not FaultPlan()
     assert transient_plan()
     assert FaultPlan().with_rule(
-        FaultRule(kind="chunk", probability=0.1))
+        FaultRule(kind="torn_tail", probability=0.1))
 
 
 # ----------------------------------------------------------------------
@@ -104,11 +106,11 @@ def test_injector_respects_day_window():
     assert inj.decide("LIKE_POST", "tok") is None
 
 
-def test_injector_chunk_rules_separate_from_scalar():
-    plan = FaultPlan((FaultRule(kind="chunk", probability=1.0),))
+def test_injector_structural_rules_separate_from_scalar():
+    plan = FaultPlan((FaultRule(kind="torn_tail", probability=1.0),))
     inj, _clock = _injector(plan)
     assert inj.decide("LIKE_POST", "tok") is None
-    assert inj.decide_chunk(48)
+    assert inj.decide_torn_tail(0) is not None
     assert inj.total_injected() == 1
 
 
@@ -159,12 +161,12 @@ def test_invalidate_token_fault_kills_token_mid_flight():
     assert stored.invalidation_reason == "fault_injection"
 
 
-def test_chunk_fault_fails_whole_batch():
-    """A firing chunk rule fails a whole delivery-wave segment before it
-    opens: no DeliveryWave is created, the circuit breaker serves the
-    entries through the scalar path, and the deliveries still land."""
-    plan = FaultPlan((FaultRule(kind="chunk", probability=1.0),))
-    world = World(StudyConfig(scale=0.002, seed=19, fault_plan=plan))
+def test_fault_plan_delivers_in_one_wave():
+    """Under a live fault plan a like round and a background-serving
+    event each run through exactly one delivery wave — faults and
+    retries are rolled per entry inside it — and the deliveries land."""
+    world = World(StudyConfig(scale=0.002, seed=19,
+                              fault_plan=transient_plan(0.05)))
     AppCatalog(world.apps, world.rng.stream("catalog"), tail_apps=0).build()
     network = build_ecosystem(world, network_limit=2).network(
         "official-liker.net")
@@ -181,8 +183,8 @@ def test_chunk_fault_fails_whole_batch():
     post = world.platform.create_post(honeypot.account_id, "x")
     report = network.submit_like_request(honeypot.account_id, post.post_id)
     served = network.serve_background_requests(3)
-    assert opened == []
-    assert world.faults.counters["chunk"] >= 2
+    assert opened == [post.post_id, None]
+    assert world.faults.counters["transient"] > 0
     assert report.delivered == network.profile.likes_per_request
     assert world.platform.get_post(post.post_id).like_count == report.delivered
     assert served > 0

@@ -159,16 +159,17 @@ def test_request_log_records_outcomes(world, setup):
 def test_charge_like_counts_without_writing(world, setup):
     app, user, post, token = setup
     before = len(world.api.log)
-    world.api.charge_like(token, source_ip="10.60.0.1")
+    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
     assert world.api.charge_counters["likes"] == 1
     assert len(world.api.log) == before  # not logged
     # Charges share the same token budget as real writes.  Changing the
     # policy rebuilds the window, so the budget counts from here.
     world.policy.token_actions_per_day = 2
-    world.api.charge_like(token, source_ip="10.60.0.1")
-    world.api.charge_like(token, source_ip="10.60.0.1")
-    with pytest.raises(RateLimitExceededError):
-        world.api.charge_like(token, source_ip="10.60.0.1")
+    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
+    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
+    assert (world.api.try_charge_like(token, source_ip="10.60.0.1")
+            == "token_limit")
+    assert world.api.charge_counters["likes"] == 3
 
 
 def test_get_app_stats(world, setup):

@@ -77,29 +77,31 @@ def test_enforcer_rebuilds_on_policy_change():
     assert enforcer.admit_token_action("t", 2)
 
 
+# The IP-window tests give every like a fresh token, so the per-token
+# budget never decides a verdict.
 def test_enforcer_ip_limits_disabled_by_default():
     enforcer = PolicyEnforcer(RateLimitPolicy())
     for i in range(1000):
-        assert enforcer.admit_ip_like("1.2.3.4", i) is None
+        assert enforcer.admit_like(f"t{i}", "1.2.3.4", i) is None
 
 
 def test_enforcer_ip_daily_and_weekly():
     policy = RateLimitPolicy(ip_likes_per_day=2, ip_likes_per_week=3)
     enforcer = PolicyEnforcer(policy)
-    assert enforcer.admit_ip_like("ip", 0) is None
-    assert enforcer.admit_ip_like("ip", 1) is None
-    assert enforcer.admit_ip_like("ip", 2) == "daily"
+    assert enforcer.admit_like("t0", "ip", 0) is None
+    assert enforcer.admit_like("t1", "ip", 1) is None
+    assert enforcer.admit_like("t2", "ip", 2) == "daily"
     # Next day the daily window clears but the weekly one still counts.
     later = DAY + HOUR
-    assert enforcer.admit_ip_like("ip", later) is None
-    assert enforcer.admit_ip_like("ip", later + 1) == "weekly"
+    assert enforcer.admit_like("t3", "ip", later) is None
+    assert enforcer.admit_like("t4", "ip", later + 1) == "weekly"
 
 
 def test_enforcer_missing_ip_never_limited():
     policy = RateLimitPolicy(ip_likes_per_day=1)
     enforcer = PolicyEnforcer(policy)
     for i in range(10):
-        assert enforcer.admit_ip_like(None, i) is None
+        assert enforcer.admit_like(f"t{i}", None, i) is None
 
 
 def test_saturation_memo_survives_lazy_eviction():

@@ -62,8 +62,8 @@ def test_charge_like_accepts_hmac_proof(world):
     user = world.platform.register_account("U2")
     token = _token_for(world, app, user)
     proof = compute_appsecret_proof(app.secret, token)
-    world.api.charge_like(token, source_ip="10.0.0.1",
-                          appsecret_proof=proof)
+    assert world.api.try_charge_like(token, source_ip="10.0.0.1",
+                                     appsecret_proof=proof) is None
     assert world.api.charge_counters["likes"] == 1
 
 

@@ -177,7 +177,6 @@ def test_fault_plan_shards_and_stays_byte_identical():
                   actions=frozenset({"LIKE_POST", "CHARGE_LIKE"})),
         FaultRule(kind="invalidate_token", probability=0.001,
                   actions=frozenset({"LIKE_POST"})),
-        FaultRule(kind="chunk", probability=0.01),
     ))
     serial = _run(shards=1, fault_plan=plan, seed=47)
     sharded = _run(shards=2, fault_plan=plan, seed=47)

@@ -21,6 +21,7 @@ from repro.countermeasures.campaign import (
     CampaignConfig,
     CountermeasureCampaign,
 )
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.oauth.redact import redact_token
 from repro.telemetry import (
     TELEMETRY,
@@ -227,9 +228,8 @@ def test_write_telemetry_and_render_metrics(tmp_path, registry):
 # Identity contract 1: telemetry on == telemetry off
 # ----------------------------------------------------------------------
 def _campaign_run(*, shards=1, telemetry=False, networks=(
-        "fb-autolikers.com", "autolike.vn"), scale=0.004, seed=31):
-    from repro.faults.plan import FaultPlan
-
+        "fb-autolikers.com", "autolike.vn"), scale=0.004, seed=31,
+        fault_plan=FaultPlan()):
     TELEMETRY.reset()
     TRACER.reset()
     if telemetry:
@@ -239,7 +239,7 @@ def _campaign_run(*, shards=1, telemetry=False, networks=(
         TELEMETRY.disable()
         TRACER.disable()
     world = World(StudyConfig(scale=scale, seed=seed,
-                              fault_plan=FaultPlan()))
+                              fault_plan=fault_plan))
     AppCatalog(world.apps, world.rng.stream("catalog"),
                tail_apps=0).build()
     ecosystem = build_ecosystem(world, build_membership=False,
@@ -263,6 +263,21 @@ def test_telemetry_enabled_run_is_byte_identical_to_disabled():
     assert TELEMETRY.counter_total("delivery_attempts_total") > 0
     assert TELEMETRY.counter_total("wave_likes_total") > 0
     assert TRACER.roots
+
+
+def test_inert_fault_plan_records_the_fault_free_metrics():
+    """A plan whose rules never fire delivers exactly as a fault-free
+    run does — same waves, same rows — so it records the same metrics,
+    not just the same request log."""
+    plain_world = _campaign_run(telemetry=True)
+    plain_print = TELEMETRY.fingerprint()
+    inert = FaultPlan((FaultRule(kind="transient", probability=0.0),))
+    inert_world = _campaign_run(telemetry=True, fault_plan=inert)
+    assert plain_world.faults is None
+    assert inert_world.faults is not None
+    assert inert_world.faults.total_injected() == 0
+    assert inert_world.api.log.digest() == plain_world.api.log.digest()
+    assert TELEMETRY.fingerprint() == plain_print
 
 
 # ----------------------------------------------------------------------
