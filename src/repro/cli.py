@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="reprolint: determinism & discipline static "
-                     "analysis (RL001-RL005)")
+                     "analysis")
     from repro.lint.cli import add_arguments as _add_lint_arguments
     _add_lint_arguments(lint)
 

@@ -268,10 +268,6 @@ class CollusionNetworkProfile:
     registrant_country: Optional[str] = "IN"
     launch_days_before_epoch: int = 500
 
-    @property
-    def total_like_draws(self) -> int:
-        return self.posts_milked * self.likes_per_request
-
     def pool_size(self, scale: float = 1.0) -> int:
         """True member-pool size needed to observe the Table 4 membership.
 

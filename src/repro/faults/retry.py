@@ -241,6 +241,3 @@ class RetryPolicy:
             return code
         return self.retry(endpoint, key, now, call, code,
                           transient=transient)
-
-    def total_retries(self) -> int:
-        return self.counters["retries"]

@@ -458,7 +458,3 @@ class RequestLog:
                 continue
             out.append([col[i] for i in rows])
         return tuple(out)
-
-    def source_ips(self) -> List[str]:
-        """Distinct source IPs seen, in first-seen order."""
-        return list(self._by_ip.keys())

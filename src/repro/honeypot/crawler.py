@@ -5,11 +5,10 @@ from activity logs)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.honeypot.account import HoneypotAccount
 from repro.honeypot.ledger import MilkedTokenLedger
-from repro.socialnet.post import Like
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,6 @@ class TimelineCrawler:
         like_cursor, comment_cursor = state
         self._like_cursor = dict(like_cursor)
         self._comment_cursor = dict(comment_cursor)
-
-    def likes_of_post(self, post_id: str) -> List[Like]:
-        """The (public) likes on one post."""
-        return list(self._world.platform.get_post(post_id).likes)
 
     def crawl_outgoing(self, honeypot: HoneypotAccount) -> OutgoingActivitySummary:
         """Summarize the honeypot's own activity log: actions the network

@@ -31,7 +31,6 @@ RL102  token taint: token values must not reach exception messages or
        ``error_envelope`` renderers
 RL103  token taint: token values must not be persisted to checkpoints
        or exported experiment artifacts
-RL201  no RNG stream construction at module scope
 RL202  no cross-entity RNG stream sharing (duplicate literal stream
        names, handing ``self.rng`` to another entity, reaching into
        ``other.rng``)
@@ -46,15 +45,25 @@ RL402  *Delta dataclasses must pass and consume every field, and
        outside the delta
 RL403  journal frame payloads must round-trip through the approved
        codec (encode_*/decode_* or json), never inline repr/pickle
+RL501  metric label values must be bounded (literals, names, attribute
+       chains or ``redact_token(...)``), never f-strings or calls
+RL601  no RNG construction outside the factory ``repro/sim/rng.py``:
+       ``random.Random(...)`` anywhere, and at import time also
+       ``numpy.random`` generators, ``RngFactory(...)`` and
+       ``.stream``/``.fresh``/``.child`` calls
+RL602  no ``getstate()``/``setstate()`` outside the factory and the
+       sanitizer
+RL604  no access to factory/proxy internals (``_streams``,
+       ``_wrapped``, ``_raw``) outside the factory and the sanitizer,
+       directly or through a helper
 
 Token taint is cleared by the registered redactor
 ``repro.oauth.redact.redact_token`` — log/raise/persist the stable
-8-char digest, never the raw token.  Inline
-``# reprolint: disable=RL00x — why`` pragmas suppress a line;
-``tools/reprolint_baseline.json`` grandfathers known findings (they
-warn; anything new fails).  Run via ``repro lint`` or
-``python -m repro.lint``; ``--changed [REF]`` lints only modified
-files, ``--format sarif`` emits SARIF 2.1.0.
+8-char digest, never the raw token.  The one way to accept a finding
+is an inline ``# reprolint: disable=RLxxx — why`` pragma on its line
+(``disable-file=`` for a whole module).  Run via ``repro lint`` or
+``python -m repro.lint``; every run scans the whole tree, and
+``--format sarif`` emits SARIF 2.1.0.
 """
 
 from repro.lint.engine import LintEngine, LintReport, lint_source

@@ -1,24 +1,18 @@
 """Command-line front end: ``repro lint`` / ``python -m repro.lint``.
 
-Exit codes: 0 clean (or everything baselined), 1 failing findings at or
-above ``--fail-on``, 2 usage errors (bad baseline file, missing target,
-not a git checkout with ``--changed``).
+Exit codes: 0 clean, 1 failing findings at or above ``--fail-on``,
+2 usage errors (missing target).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Severity
-
-DEFAULT_BASELINE = os.path.join("tools", "reprolint_baseline.json")
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -26,25 +20,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: src/repro under "
              "the current directory, else the installed repro package)")
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline JSON of grandfathered findings (default: "
-             f"{DEFAULT_BASELINE} when present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings as the new baseline and exit 0")
-    parser.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline keeping only entries that still "
-             "match a finding, then exit 0")
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None,
-        metavar="REF",
-        help="lint only files modified vs. a git ref (default ref: "
-             "HEAD); untracked .py files are included")
     parser.add_argument(
         "--fail-on", choices=["error", "warning", "info", "never"],
         default="warning",
@@ -70,118 +45,13 @@ def _default_targets() -> List[Path]:
     return [Path(repro.__file__).resolve().parent]
 
 
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Baseline.load(args.baseline)
-    default = Path(DEFAULT_BASELINE)
-    if default.is_file():
-        return Baseline.load(default)
-    return None
-
-
-def _git_lines(argv: List[str]) -> List[str]:
-    proc = subprocess.run(argv, capture_output=True, text=True,
-                          check=True)
-    return [line for line in proc.stdout.split("\0") if line]
-
-
-def _changed_pairs(ref: str, targets: List[Path],
-                   engine: LintEngine) -> List[Tuple[str, Path]]:
-    """(display path, file) pairs for files modified vs. ``ref`` that
-    fall under one of the lint targets.  Raises CalledProcessError /
-    FileNotFoundError when git is unusable."""
-    # Anchor everything at the repo toplevel: ``git diff`` reports
-    # toplevel-relative names while ``git ls-files`` is cwd-relative,
-    # so both listings run from the toplevel to agree.
-    toplevel = Path(subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"], capture_output=True,
-        text=True, check=True).stdout.strip())
-    git = ["git", "-C", str(toplevel)]
-    # --diff-filter=d drops deletions at the source (a rename's old
-    # name counts as one), so they never surface as RL000 noise.
-    names = _git_lines(git + ["diff", "--name-only", "--diff-filter=d",
-                              "-z", ref, "--"])
-    names += _git_lines(git + ["ls-files", "--others",
-                               "--exclude-standard", "-z"])
-    resolved_targets = [target.resolve() for target in targets]
-    pairs: List[Tuple[str, Path]] = []
-    seen = set()
-    for name in sorted(set(names)):
-        if not name.endswith(".py"):
-            continue
-        source = toplevel / name
-        if not source.is_file():
-            continue        # renamed away mid-scan, or a racing delete
-        absolute = source.resolve()
-        in_scope = any(
-            target == absolute or target in absolute.parents
-            for target in resolved_targets)
-        if not in_scope or absolute in seen:
-            continue
-        seen.add(absolute)
-        pairs.append((engine._display_path(source), source))
-    return pairs
-
-
 def run(args: argparse.Namespace) -> int:
     targets = list(args.paths) or _default_targets()
     for target in targets:
         if not target.exists():
             print(f"error: no such path: {target}", file=sys.stderr)
             return 2
-    if args.write_baseline:
-        baseline = None          # never load what we are about to write
-    else:
-        try:
-            baseline = _resolve_baseline(args)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"error: cannot load baseline: {error}", file=sys.stderr)
-            return 2
-    if args.prune_baseline and args.changed is not None:
-        print("error: --prune-baseline needs a full scan; drop "
-              "--changed", file=sys.stderr)
-        return 2
-    if args.prune_baseline and baseline is None:
-        print("error: --prune-baseline needs a baseline file "
-              f"(looked for {args.baseline or DEFAULT_BASELINE})",
-              file=sys.stderr)
-        return 2
-
-    engine = LintEngine()
-    if args.changed is not None:
-        try:
-            pairs = _changed_pairs(args.changed, targets, engine)
-        except (subprocess.CalledProcessError,
-                FileNotFoundError) as error:
-            detail = getattr(error, "stderr", "") or str(error)
-            print(f"error: --changed needs a git checkout: "
-                  f"{detail.strip()}", file=sys.stderr)
-            return 2
-        report = engine.run_files(pairs, baseline=baseline)
-    else:
-        report = engine.run(targets, baseline=baseline)
-
-    if args.write_baseline:
-        path = args.baseline or Path(DEFAULT_BASELINE)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        Baseline.from_findings(report.findings).dump(path)
-        print(f"wrote {len(report.findings)} baseline entries to {path}")
-        return 0
-
-    if args.prune_baseline:
-        path = (args.baseline if args.baseline is not None
-                else Path(DEFAULT_BASELINE))
-        before = len(baseline)
-        pruned = Baseline(entries=dict(report.baseline_matched))
-        pruned.dump(path)
-        print(f"pruned baseline {path}: kept {len(pruned)} of "
-              f"{before} entries "
-              f"({len(report.stale_baseline)} stale fingerprints "
-              "dropped)")
-        return 0
-
+    report = LintEngine().run(targets)
     fail_on = (None if args.fail_on == "never"
                else Severity.parse(args.fail_on))
     fmt = args.fmt or ("json" if args.as_json else "text")

@@ -1,13 +1,13 @@
-"""RL2xx RNG-discipline and RL3xx API-contract rules.
+"""RL202 RNG-discipline and RL3xx API-contract rules.
 
 **RNG discipline.**  Determinism in this reproduction hangs on one
 invariant: every entity draws from its *own* named stream fanned out of
 the master seed (``world.rng.stream(name)``), received as a parameter.
-Module-scope stream construction (RL201) creates import-order-dependent
-state; two entities sharing one stream — or requesting the same literal
-stream name, which seeds two generators identically — couples their
-draw sequences so that adding a draw in one silently shifts the other
-(RL202).
+Constructing a stream anywhere but the factory is RL601's finding (see
+:mod:`repro.lint.sanitizer_rules`).  Two entities sharing one stream —
+or requesting the same literal stream name, which seeds two generators
+identically — couples their draw sequences so that adding a draw in one
+silently shifts the other (RL202).
 
 **API contract.**  The paper's measurement and countermeasure story
 (§5-§6) runs entirely through the Graph API choke point: scope checks,
@@ -33,86 +33,6 @@ ABUSE_PREFIXES = ("repro/collusion/", "repro/honeypot/")
 
 #: The sanctioned mutation route; RL302 never flags calls into it.
 _SANCTIONED_PREFIXES = ("repro/graphapi/",) + ABUSE_PREFIXES
-
-_RNG_FACTORY_METHODS = frozenset({"stream", "fresh", "child"})
-
-
-def _module_scope_statements(tree: ast.Module) -> Iterator[ast.stmt]:
-    """Statements executed at import time: module body and class bodies,
-    never function bodies."""
-    stack: List[ast.stmt] = list(tree.body)
-    while stack:
-        stmt = stack.pop(0)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(stmt, ast.ClassDef):
-            stack.extend(stmt.body)
-            continue
-        yield stmt
-        for attr in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, attr, []) or [])
-        for handler in getattr(stmt, "handlers", []) or []:
-            stack.extend(handler.body)
-
-
-def _calls_outside_defs(stmt: ast.stmt) -> Iterator[ast.Call]:
-    """Call nodes in a statement, not descending into nested defs."""
-    stack: List[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-class ModuleScopeRngRule(Rule):
-    """RL201 — RNG streams constructed at module scope.
-
-    A module-level generator is shared by every importer and its state
-    depends on import order; entities must *receive* their stream.
-    """
-
-    rule_id = "RL201"
-    severity = Severity.ERROR
-    description = "RNG stream constructed at module scope"
-    hint = ("entities receive their RNG as a parameter rooted in "
-            "repro/sim/rng.py (world.rng.stream(name)); module-level "
-            "generators are shared, import-order-dependent state")
-
-    def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for stmt in _module_scope_statements(ctx.tree):
-            for call in _calls_outside_defs(stmt):
-                label = self._rng_construction(ctx, call)
-                if label is not None:
-                    yield ctx.finding(
-                        self, call,
-                        f"module-scope RNG construction {label} is "
-                        "shared mutable state")
-
-    @staticmethod
-    def _rng_construction(ctx: ModuleContext,
-                          call: ast.Call) -> Optional[str]:
-        dotted = ctx.resolve(call.func)
-        if dotted is not None:
-            if dotted == "random.Random":
-                return "random.Random(...)"
-            if dotted in ("numpy.random.RandomState",
-                          "numpy.random.default_rng"):
-                return f"{dotted}(...)"
-            if dotted.rsplit(".", 1)[-1] == "RngFactory":
-                return "RngFactory(...)"
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            # Any factory-method call at import time is stream
-            # construction, whatever the factory is bound to.
-            if func.attr in _RNG_FACTORY_METHODS:
-                return f".{func.attr}(...)"
-        elif isinstance(func, ast.Name) and func.id == "RngFactory":
-            return "RngFactory(...)"
-        return None
 
 
 class StreamSharingRule(ProjectRule):

@@ -1,8 +1,8 @@
-"""The reprolint engine: file walking, pragmas, baseline, reporting.
+"""The reprolint engine: file walking, pragmas, reporting.
 
 Paths are normalised to posix relative to the scan root's *parent*
 (``src/repro`` scans as ``repro/...``), which keeps allowlists and
-baseline fingerprints stable across checkouts and installs.
+SARIF fingerprints stable across checkouts and installs.
 
 Since v2 the engine is project-aware: every module that parses is
 indexed into a :class:`~repro.lint.graph.ProjectGraph` (symbol table,
@@ -15,14 +15,12 @@ findings instead of aborting the run.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import (
     DEFAULT_ALLOWLIST,
@@ -61,10 +59,6 @@ def parse_pragmas(lines: Sequence[str]) -> Pragmas:
     return per_line, per_file
 
 
-#: Backwards-compatible alias (pre-v2 private name).
-_parse_pragmas = parse_pragmas
-
-
 def _suppressed(rule_id: str, line: int,
                 per_line: Dict[int, Set[str]],
                 per_file: Set[str]) -> bool:
@@ -90,24 +84,16 @@ class LintReport:
     """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     files_scanned: int = 0
-    #: fingerprint -> how many current findings it absorbed (the live
-    #: subset of the baseline; --prune-baseline rewrites from this)
-    baseline_matched: Dict[Tuple[str, str, str], int] = field(
-        default_factory=dict)
-    #: this run's parse-cache counters (stat_hits / content_hits /
-    #: misses), surfaced in ``--json`` output
-    cache_stats: Dict[str, int] = field(default_factory=dict)
     #: findings silenced by an in-source ``reprolint: disable`` pragma;
     #: never failing, but carried into SARIF as inSource suppressions
     suppressed: List[Finding] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def failing(self, fail_on: Severity) -> List[Finding]:
-        """Non-baselined findings at or above the threshold."""
+        """Findings at or above the threshold."""
         return [finding for finding in self.findings
-                if not finding.baselined and finding.severity >= fail_on]
+                if finding.severity >= fail_on]
 
     def exit_code(self, fail_on: Optional[Severity]) -> int:
         if fail_on is None:
@@ -118,35 +104,22 @@ class LintReport:
         return {
             "files": self.files_scanned,
             "findings": len(self.findings),
-            "baselined": sum(1 for f in self.findings if f.baselined),
             "failing": (len(self.failing(fail_on))
                         if fail_on is not None else 0),
-            "stale_baseline": len(self.stale_baseline),
         }
 
     def render_text(self, fail_on: Optional[Severity]) -> str:
         parts = [finding.render() for finding in self.findings]
-        for path, rule, snippet in self.stale_baseline:
-            parts.append(f"stale baseline entry: {path} {rule} "
-                         f"({snippet!r} no longer found)")
         stats = self.summary(fail_on)
         parts.append(
             f"reprolint: {stats['files']} files, "
-            f"{stats['findings']} findings "
-            f"({stats['baselined']} baselined, "
-            f"{stats['failing']} failing"
-            + (f", {stats['stale_baseline']} stale baseline entries"
-               if self.stale_baseline else "") + ")")
+            f"{stats['findings']} findings ({stats['failing']} failing)")
         return "\n".join(parts)
 
     def render_json(self, fail_on: Optional[Severity]) -> str:
         payload = {
             "findings": [finding.to_dict() for finding in self.findings],
-            "stale_baseline": [
-                {"path": path, "rule": rule, "snippet": snippet}
-                for path, rule, snippet in self.stale_baseline],
             "summary": self.summary(fail_on),
-            "parse_cache": dict(self.cache_stats),
             "fail_on": str(fail_on) if fail_on is not None else "never",
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -158,7 +131,7 @@ class LintReport:
 
 
 class LintEngine:
-    """Run a rule set over files/trees, applying pragmas + baseline."""
+    """Run a rule set over files/trees, applying allowlist + pragmas."""
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None,
                  allowlist: Optional[Dict[str, Tuple[str, ...]]] = None
@@ -213,7 +186,7 @@ class LintEngine:
         return kept, suppressed
 
     def lint_module(self, path: str, source: str) -> List[Finding]:
-        """All findings for one module (pragmas applied, no baseline)."""
+        """All findings for one module (pragmas applied)."""
         try:
             ctx = ModuleContext.build(path, source)
         except SyntaxError as error:
@@ -254,56 +227,35 @@ class LintEngine:
     # ------------------------------------------------------------------
     # Runs
     # ------------------------------------------------------------------
-    def run(self, targets: Iterable[Path],
-            baseline: Optional[Baseline] = None) -> LintReport:
-        return self.run_files(self._collect_files(targets), baseline)
+    def run(self, targets: Iterable[Path]) -> LintReport:
+        return self.run_files(self._collect_files(targets))
 
-    def run_files(self, pairs: Sequence[Tuple[str, Path]],
-                  baseline: Optional[Baseline] = None) -> LintReport:
+    def run_files(self, pairs: Sequence[Tuple[str, Path]]) -> LintReport:
         """Lint explicit (display path, file) pairs as one project."""
-        from repro.lint.graph import CACHE_STATS, cached_parse
-
         report = LintReport()
-        stats_before = dict(CACHE_STATS)
-        baseline = baseline if baseline is not None else Baseline()
-        budget = baseline.budget()
         contexts: List[ModuleContext] = []
         pragma_map: Dict[str, Pragmas] = {}
-        findings: List[Finding] = []
         for path, source_path in pairs:
             report.files_scanned += 1
             try:
                 source = source_path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as error:
-                findings.append(Finding(
+                report.findings.append(Finding(
                     path=path, line=1, col=1, rule="RL000",
                     severity=Severity.ERROR,
                     message=f"unreadable file: {error}"))
                 continue
             try:
-                ctx, pragmas = cached_parse(path, source_path, source)
+                ctx = ModuleContext.build(path, source)
             except SyntaxError as error:
-                findings.append(_parse_error_finding(path, error))
+                report.findings.append(_parse_error_finding(path, error))
                 continue
             contexts.append(ctx)
-            pragma_map[path] = pragmas
-        report.cache_stats = {
-            key: CACHE_STATS[key] - stats_before[key]
-            for key in CACHE_STATS}
+            pragma_map[path] = parse_pragmas(ctx.lines)
         kept, report.suppressed = self._run_contexts(contexts,
                                                      pragma_map)
-        findings.extend(kept)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        for finding in findings:
-            key = finding.fingerprint()
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                finding = finding.as_baselined()
-                report.baseline_matched[key] = (
-                    report.baseline_matched.get(key, 0) + 1)
-            report.findings.append(finding)
-        report.stale_baseline = sorted(
-            key for key, remaining in budget.items() if remaining > 0)
+        report.findings.extend(kept)
+        report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return report
 
 
@@ -316,8 +268,3 @@ def lint_source(source: str, path: str = "repro/module.py",
                         allowlist=allowlist if allowlist is not None
                         else {})
     return engine.lint_module(path, source)
-
-
-def parse_tree(source: str) -> ast.Module:
-    """Parse helper kept for symmetry with :func:`lint_source`."""
-    return ast.parse(source)

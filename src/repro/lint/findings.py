@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 
@@ -31,9 +31,9 @@ class Finding:
     """One rule violation at a source location.
 
     ``path`` is normalised (posix, relative to the scan root's parent)
-    so baselines and allowlists are stable across checkouts.  The
-    ``snippet`` — the stripped source line — is what baselines match
-    on, so a finding survives unrelated line-number drift.
+    so allowlists are stable across checkouts.  The ``snippet`` — the
+    stripped source line — is part of the SARIF fingerprint, so a
+    finding keeps its identity across unrelated line-number drift.
     """
 
     path: str
@@ -44,18 +44,13 @@ class Finding:
     message: str
     hint: str = ""
     snippet: str = ""
-    baselined: bool = field(default=False, compare=False)
 
     def fingerprint(self) -> Tuple[str, str, str]:
         return (self.path, self.rule, self.snippet)
 
-    def as_baselined(self) -> "Finding":
-        return replace(self, baselined=True)
-
     def render(self) -> str:
-        flag = " [baselined]" if self.baselined else ""
         text = (f"{self.path}:{self.line}:{self.col}: {self.rule} "
-                f"{self.severity}{flag}: {self.message}")
+                f"{self.severity}: {self.message}")
         if self.hint:
             text += f"\n    hint: {self.hint}"
         if self.snippet:
@@ -72,5 +67,4 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
             "snippet": self.snippet,
-            "baselined": self.baselined,
         }

@@ -7,13 +7,6 @@ what that function does with its parameters (``repro.lint.summaries``).
 :class:`ProjectGraph` provides that view.  It is built once per engine
 run over every module that parsed, and each :class:`ModuleContext`
 gets a back-reference so per-module rules can consult it.
-
-Parsing is the dominant cost of a full-tree run, so modules are cached
-process-wide keyed by ``(path, mtime_ns, size)``, with a blake2b
-content-digest fallback for files whose mtime moved but whose bytes
-did not (touched files, fresh clones) — repeated engine runs in one
-process (the test suite, ``--write-baseline`` after a check run)
-rebuild the graph from cached ASTs in microseconds.
 """
 
 from __future__ import annotations
@@ -125,7 +118,7 @@ class ProjectGraph:
         # build_summaries runs (lazy import avoids a cycle at load).
         for ctx in contexts:
             ctx.project = graph
-        from repro.lint.summaries import build_summaries
+        from repro.lint.fixpoint import build_summaries
 
         build_summaries(graph)
         return graph
@@ -265,63 +258,3 @@ class ProjectGraph:
         self._exceptional[name] = result
         return result
 
-
-# ----------------------------------------------------------------------
-# Process-wide parse cache
-# ----------------------------------------------------------------------
-#: (absolute path) -> (mtime_ns, size, content digest, ModuleContext,
-#: pragma maps)
-_PARSE_CACHE: Dict[str, Tuple[int, int, str, ModuleContext, object]] = {}
-
-#: Process-wide counters; engines snapshot deltas per run and surface
-#: them in ``--json`` output.  ``stat_hits`` reused on an unchanged
-#: stat signature; ``content_hits`` rescued by the digest fallback
-#: after the mtime moved (touch, fresh checkout); ``misses`` parsed.
-CACHE_STATS: Dict[str, int] = {
-    "stat_hits": 0, "content_hits": 0, "misses": 0,
-}
-
-
-def _content_digest(source: str) -> str:
-    import hashlib
-
-    return hashlib.blake2b(source.encode("utf-8"),
-                           digest_size=16).hexdigest()
-
-
-def cached_parse(path: str, source_path: Path,
-                 source: str) -> Optional[Tuple[ModuleContext, object]]:
-    """Parsed context + pragmas for a file, reusing the process cache.
-
-    Returns ``None`` on a syntax error (callers emit RL000).  The fast
-    key is the file's stat signature; when the mtime moved but the
-    bytes did not (touched files, freshly cloned trees), a blake2b
-    content digest rescues the hit and the signature is refreshed.
-    An edited file re-parses.
-    """
-    from repro.lint.engine import parse_pragmas
-
-    key = str(source_path.resolve())
-    try:
-        stat = source_path.stat()
-        signature = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        signature = None
-    hit = _PARSE_CACHE.get(key)
-    if (signature is not None and hit is not None
-            and hit[3].path == path):
-        if (hit[0], hit[1]) == signature:
-            CACHE_STATS["stat_hits"] += 1
-            return hit[3], hit[4]
-        if hit[2] == _content_digest(source):
-            CACHE_STATS["content_hits"] += 1
-            _PARSE_CACHE[key] = (signature[0], signature[1], hit[2],
-                                 hit[3], hit[4])
-            return hit[3], hit[4]
-    CACHE_STATS["misses"] += 1
-    ctx = ModuleContext.build(path, source)       # may raise SyntaxError
-    pragmas = parse_pragmas(ctx.lines)
-    if signature is not None:
-        _PARSE_CACHE[key] = (signature[0], signature[1],
-                             _content_digest(source), ctx, pragmas)
-    return ctx, pragmas

@@ -24,13 +24,12 @@ DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     "RL001": ("repro/perf/", "repro/experiments/runner.py",
               "repro/telemetry/"),
     "RL004": ("repro/perf/",),
-    # The sim package owns the RNG fan-out and the clock representation:
-    # constructing streams and bucketing raw ticks is its job.
-    "RL201": ("repro/sim/",),
+    # The sim package owns the clock representation: bucketing raw
+    # ticks is its job.
     "RL203": ("repro/sim/",),
-    # The factory is where streams are born and wound; the sanitizer
-    # package is the instrumentation itself.
-    "RL601": ("repro/sim/rng.py", "repro/sanitizer/"),
+    # The factory is the one place a stream is born; streams are wound
+    # there and by the sanitizer's proxies (the instrumentation itself).
+    "RL601": ("repro/sim/rng.py",),
     "RL602": ("repro/sim/rng.py", "repro/sanitizer/"),
 }
 
@@ -126,6 +125,10 @@ class Rule:
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
+
+    def descriptions(self) -> Dict[str, str]:
+        """Rule id -> short description for every id this rule emits."""
+        return {self.rule_id: self.description}
 
 
 class ProjectRule(Rule):
@@ -501,7 +504,6 @@ def default_rules() -> List[Rule]:
     from repro.lint.contracts import (
         ApiContractRule,
         IndirectMutationRule,
-        ModuleScopeRngRule,
         StreamSharingRule,
     )
     from repro.lint.sanitizer_rules import sanitizer_rules
@@ -515,7 +517,7 @@ def default_rules() -> List[Rule]:
 
     return [WallClockRule(), GlobalRandomRule(), OrderingRule(),
             EntropyRule(), ExceptionRule(),
-            TokenTaintRule(), ModuleScopeRngRule(), StreamSharingRule(),
+            TokenTaintRule(), StreamSharingRule(),
             SimClockArithmeticRule(), ApiContractRule(),
             IndirectMutationRule(), SnapshotCoverageRule(),
             ShardDeltaRule(), JournalCodecRule(), MetricLabelRule(),

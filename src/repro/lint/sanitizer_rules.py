@@ -8,14 +8,17 @@ end-of-run digest mismatch.  (A shard delta that drops its captured
 ``trace`` is RL402's unconsumed-field finding.)  These rules keep the
 hook surface airtight statically:
 
-* **RL601** — raw ``random.Random(...)`` construction outside the
-  factory shell.  Every campaign stream must come from
+* **RL601** — RNG construction outside the factory
+  (``repro/sim/rng.py``).  Every campaign stream must come from
   ``RngFactory.stream()``/``fresh()`` so the sanitizer proxy can see
-  the draws; a hand-rolled generator is invisible to the trace.
-  Detector-side fixed-seed samplers that never touch the campaign
-  surface carry a pragma with that justification.  Import-time
-  construction (module or class body) is RL201's finding; this rule
-  owns the runtime sites.
+  the draws; a hand-rolled generator is invisible to the trace.  At
+  run time the rule flags ``random.Random(...)``; at import time
+  (module or class body) it also flags ``numpy.random`` generators,
+  ``RngFactory(...)`` and ``.stream``/``.fresh``/``.child`` calls,
+  because a module-level stream is shared by every importer and its
+  state depends on import order.  Detector-side fixed-seed samplers
+  that never touch the campaign surface carry a pragma with that
+  justification.
 * **RL602** — ``getstate()``/``setstate()`` outside the
   factory/sanitizer shells.  Winding a generator behind the trace's
   back desynchronises the shadow stream from the real one; state
@@ -31,12 +34,8 @@ hook surface airtight statically:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.lint.contracts import (
-    _calls_outside_defs,
-    _module_scope_statements,
-)
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ModuleContext, ProjectRule, Rule
 
@@ -49,9 +48,64 @@ SANITIZER_SHELLS = ("repro/sim/rng.py", "repro/sanitizer/")
 #: draws past the instrumentation.
 _HOOK_INTERNALS = frozenset({"_streams", "_wrapped", "_raw"})
 
+_RNG_FACTORY_METHODS = frozenset({"stream", "fresh", "child"})
+
 
 def _in_shell(path: str) -> bool:
     return any(path.startswith(prefix) for prefix in SANITIZER_SHELLS)
+
+
+def _module_scope_statements(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Statements executed at import time: module body and class bodies,
+    never function bodies."""
+    stack: List[ast.stmt] = list(tree.body)
+    while stack:
+        stmt = stack.pop(0)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.ClassDef):
+            stack.extend(stmt.body)
+            continue
+        yield stmt
+        for attr in ("body", "orelse", "finalbody"):
+            stack.extend(getattr(stmt, attr, []) or [])
+        for handler in getattr(stmt, "handlers", []) or []:
+            stack.extend(handler.body)
+
+
+def _calls_outside_defs(stmt: ast.stmt) -> Iterator[ast.Call]:
+    """Call nodes in a statement, not descending into nested defs."""
+    stack: List[ast.AST] = [stmt]
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _rng_construction(ctx: ModuleContext, call: ast.Call) -> Optional[str]:
+    """Label of the generator an import-time call constructs, if any."""
+    dotted = ctx.resolve(call.func)
+    if dotted is not None:
+        if dotted == "random.Random":
+            return "random.Random(...)"
+        if dotted in ("numpy.random.RandomState",
+                      "numpy.random.default_rng"):
+            return f"{dotted}(...)"
+        if dotted.rsplit(".", 1)[-1] == "RngFactory":
+            return "RngFactory(...)"
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        # Any factory-method call at import time is stream
+        # construction, whatever the factory is bound to.
+        if func.attr in _RNG_FACTORY_METHODS:
+            return f".{func.attr}(...)"
+    elif isinstance(func, ast.Name) and func.id == "RngFactory":
+        return "RngFactory(...)"
+    return None
 
 
 class RawStreamConstructionRule(Rule):
@@ -59,20 +113,23 @@ class RawStreamConstructionRule(Rule):
 
     rule_id = "RL601"
     severity = Severity.ERROR
-    description = ("raw random.Random construction outside the "
-                   "instrumented factory surface")
-    hint = ("draw from world.rng.stream(name)/fresh(name) so the "
-            "sanitizer sees every draw; a hand-rolled generator is "
+    description = "RNG constructed outside the instrumented factory"
+    hint = ("entities receive their stream as a parameter "
+            "(world.rng.stream(name)/fresh(name)) so the sanitizer sees "
+            "every draw; a hand-rolled or module-level generator is "
             "invisible to divergence bisection")
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        # Import-time construction is RL201's finding (shared
-        # module-scope state); this rule owns the runtime sites.
-        import_time = {
-            id(call)
-            for stmt in _module_scope_statements(ctx.tree)
-            for call in _calls_outside_defs(stmt)
-        }
+        import_time: Set[int] = set()
+        for stmt in _module_scope_statements(ctx.tree):
+            for call in _calls_outside_defs(stmt):
+                import_time.add(id(call))
+                label = _rng_construction(ctx, call)
+                if label is not None:
+                    yield ctx.finding(
+                        self, call,
+                        f"module-scope RNG construction {label} is "
+                        "shared, import-order-dependent state")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or id(node) in import_time:
                 continue

@@ -3,11 +3,10 @@
 Emits the minimal static-analysis interchange document GitHub code
 scanning and most SARIF viewers accept: one run, one driver, rule
 descriptors for every rule id that produced a finding, and one result
-per finding.  Baselined findings are kept in the document but carry an
-``external`` suppression so viewers show them as accepted; findings
-silenced by an in-source ``reprolint: disable`` pragma are appended
-with an ``inSource`` suppression, so the justified exceptions stay
-visible to code-scanning dashboards instead of vanishing.
+per finding.  Findings silenced by an in-source ``reprolint: disable``
+pragma are appended with an ``inSource`` suppression, so the justified
+exceptions stay visible to code-scanning dashboards instead of
+vanishing.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import json
 from typing import Dict, List
 
 from repro.lint.findings import Finding, Severity
+from repro.lint.rules import default_rules
 
 _LEVELS = {
     Severity.ERROR: "error",
@@ -24,28 +24,13 @@ _LEVELS = {
     Severity.INFO: "note",
 }
 
-#: Short descriptions for every shipped rule id (TokenTaintRule emits
-#: three ids from one rule object, so this table is id-keyed rather
-#: than derived from rule classes).
-RULE_DESCRIPTIONS: Dict[str, str] = {
-    "RL000": "file failed to parse",
-    "RL001": "wall-clock reads outside the perf shell",
-    "RL002": "global or unseeded randomness",
-    "RL003": "nondeterministic ordering feeding iteration",
-    "RL004": "entropy or environment leaking into sim state",
-    "RL005": "broad exception handler that swallows context",
-    "RL101": "token value flows into a logging sink",
-    "RL102": "token value flows into an exception message",
-    "RL103": "token value persisted to an experiment artifact",
-    "RL201": "RNG stream constructed at module scope",
-    "RL202": "RNG stream shared across entities",
-    "RL203": "raw arithmetic on sim-clock values outside sim/",
-    "RL301": "direct platform mutation bypassing the Graph API",
-    "RL302": "platform mutation reached through an outside helper",
-    "RL401": "mutable state missing from a snapshot capture/install",
-    "RL402": "shard delta field dropped or impure forked child",
-    "RL403": "journal frame bypasses the approved codec",
-}
+
+def _rule_descriptions() -> Dict[str, str]:
+    """Short description for every shipped rule id, plus RL000."""
+    table = {"RL000": "file failed to parse"}
+    for rule in default_rules():
+        table.update(rule.descriptions())
+    return table
 
 
 def _fingerprint(finding: Finding) -> str:
@@ -79,9 +64,6 @@ def _result(finding: Finding, in_source: bool = False) -> dict:
         result["suppressions"] = [{
             "kind": "inSource",
             "justification": "reprolint: disable pragma"}]
-    elif finding.baselined:
-        result["suppressions"] = [{"kind": "external",
-                                   "justification": "baselined"}]
     return result
 
 
@@ -92,10 +74,11 @@ def render_sarif(report) -> str:
     for finding in [*report.findings, *suppressed]:
         if finding.rule not in seen_rules:
             seen_rules.append(finding.rule)
+    descriptions = _rule_descriptions()
     rules = [{
         "id": rule_id,
         "shortDescription": {
-            "text": RULE_DESCRIPTIONS.get(rule_id, rule_id)},
+            "text": descriptions.get(rule_id, rule_id)},
     } for rule_id in sorted(seen_rules)]
     document = {
         "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"

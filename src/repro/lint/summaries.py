@@ -84,10 +84,3 @@ class FunctionSummary:
     global_writes: Set[str] = field(default_factory=set)
     #: return value carries taint sourced inside the body
     returns_taint: bool = False
-
-
-def build_summaries(graph) -> None:
-    """Populate ``graph.summaries`` to interprocedural convergence."""
-    from repro.lint.fixpoint import build_summaries as _fixpoint
-
-    _fixpoint(graph)

@@ -651,6 +651,10 @@ class TokenTaintRule(Rule):
     description = "token-taint: token values must not reach sinks"
     hint = ""
 
+    def descriptions(self) -> Dict[str, str]:
+        return {rule_id: description
+                for rule_id, description, _hint in _SINK_RULES.values()}
+
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
         spec = TokenTaintSpec()
         seen: Set[Tuple[int, int, str]] = set()

@@ -49,10 +49,6 @@ class Application:
     def check_secret(self, candidate: str) -> bool:
         return candidate == self.secret
 
-    def may_request(self, scope: PermissionScope) -> bool:
-        """Whether every permission in ``scope`` has been approved."""
-        return scope.issubset(self.approved_permissions)
-
     @property
     def is_susceptible(self) -> bool:
         """Exploitable for reputation manipulation (§2.2 criteria)."""

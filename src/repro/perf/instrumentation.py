@@ -89,9 +89,3 @@ class StageTimer:
         self.stages.clear()
         self.counters.clear()
 
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            "stages": dict(self.stages),
-            "counters": dict(self.counters),
-        }
-

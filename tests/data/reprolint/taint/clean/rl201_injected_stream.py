@@ -1,4 +1,4 @@
-"""Fixture: RL201 clean twin — the entity receives its stream."""
+"""Fixture: RL601 clean twin — the entity receives its stream."""
 
 
 def shuffle_members(members, rng):

@@ -1,4 +1,4 @@
-"""Fixture: RL201 — RNG stream constructed at module scope."""
+"""Fixture: RL601 — RNG stream constructed at module scope."""
 
 import random
 

@@ -2,7 +2,6 @@
 line shifts, and the suppression round-trip for pragma'd findings."""
 
 import json
-from pathlib import Path
 
 from repro.lint import LintEngine
 
@@ -69,6 +68,24 @@ def test_rule_table_covers_every_result_rule(tmp_path):
     assert referenced <= declared
 
 
+def test_every_rule_descriptor_has_a_description(tmp_path):
+    source = (
+        "import random\n"
+        "\n"
+        "from repro.telemetry.registry import TELEMETRY\n"
+        "\n"
+        "\n"
+        "def sample(network):\n"
+        "    TELEMETRY.count(\"draws\", network=f\"net-{network}\")\n"
+        "    return random.Random(7)\n"
+    )
+    _report, document = _sarif_for(tmp_path, "sampler.py", source)
+    rules = document["runs"][0]["tool"]["driver"]["rules"]
+    assert {"RL501", "RL601"} <= {rule["id"] for rule in rules}
+    for rule in rules:
+        assert rule["shortDescription"]["text"] != rule["id"]
+
+
 # ----------------------------------------------------------------------
 # Fingerprint stability
 # ----------------------------------------------------------------------
@@ -122,18 +139,3 @@ def test_suppressed_and_live_findings_coexist(tmp_path):
              for result in results]
     assert kinds == [(), ("inSource",)]
 
-
-def test_baselined_findings_keep_external_suppressions(tmp_path):
-    from repro.lint.baseline import Baseline
-
-    target = tmp_path / "base.py"
-    target.write_text(WALL_CLOCK, encoding="utf-8")
-    engine = LintEngine(allowlist={})
-    pairs = [("repro/base.py", target)]
-    baseline = Baseline.from_findings(
-        engine.run_files(pairs).findings)
-    report = engine.run_files(pairs, baseline=baseline)
-    document = json.loads(report.render_sarif())
-    (result,) = document["runs"][0]["results"]
-    (suppression,) = result["suppressions"]
-    assert suppression["kind"] == "external"

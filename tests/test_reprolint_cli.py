@@ -1,12 +1,8 @@
-"""CLI-level tests: --changed, --prune-baseline, --format sarif and
-the RL000 no-traceback guarantee."""
+"""CLI-level tests: --format sarif, --json and the RL000 no-traceback
+guarantee."""
 
 import json
-import subprocess
 
-import pytest
-
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main
 
 CLEAN = "x = 1\n"
@@ -25,7 +21,7 @@ WALL_CLOCK = (
 def test_syntax_error_file_reports_rl000_and_exits_1(tmp_path, capsys):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n    pass\n", encoding="utf-8")
-    rc = main([str(bad), "--no-baseline"])
+    rc = main([str(bad)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "RL000" in out
@@ -39,7 +35,7 @@ def test_syntax_error_file_reports_rl000_and_exits_1(tmp_path, capsys):
 def test_sarif_output_is_valid_and_carries_findings(tmp_path, capsys):
     target = tmp_path / "clocky.py"
     target.write_text(WALL_CLOCK, encoding="utf-8")
-    rc = main([str(target), "--no-baseline", "--format", "sarif"])
+    rc = main([str(target), "--format", "sarif"])
     out = capsys.readouterr().out
     assert rc == 1
     document = json.loads(out)
@@ -58,167 +54,7 @@ def test_sarif_output_is_valid_and_carries_findings(tmp_path, capsys):
 def test_json_flag_is_a_format_alias(tmp_path, capsys):
     target = tmp_path / "ok.py"
     target.write_text(CLEAN, encoding="utf-8")
-    assert main([str(target), "--no-baseline", "--json"]) == 0
+    assert main([str(target), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["files"] == 1
 
-
-# ----------------------------------------------------------------------
-# --changed
-# ----------------------------------------------------------------------
-def _git(repo, *argv):
-    subprocess.run(
-        ["git", "-c", "user.email=dev@example.com",
-         "-c", "user.name=dev", *argv],
-        cwd=repo, check=True, capture_output=True)
-
-
-@pytest.fixture
-def git_repo(tmp_path, monkeypatch):
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "committed.py").write_text(CLEAN, encoding="utf-8")
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", "pkg/committed.py")
-    _git(tmp_path, "commit", "-q", "-m", "init")
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
-def test_changed_lints_only_modified_files(git_repo, capsys):
-    (git_repo / "pkg" / "fresh.py").write_text(WALL_CLOCK,
-                                               encoding="utf-8")
-    rc = main(["pkg", "--changed", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "fresh.py" in out
-    assert "committed.py" not in out
-    assert "1 files" in out
-
-
-def test_changed_with_no_modifications_is_clean(git_repo, capsys):
-    rc = main(["pkg", "--changed", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "0 files" in out
-
-
-def test_changed_sees_tracked_modifications(git_repo, capsys):
-    (git_repo / "pkg" / "committed.py").write_text(WALL_CLOCK,
-                                                   encoding="utf-8")
-    rc = main(["pkg", "--changed", "HEAD", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "committed.py" in out
-
-
-def test_changed_skips_deleted_files(git_repo, capsys):
-    (git_repo / "pkg" / "committed.py").unlink()
-    rc = main(["pkg", "--changed", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "RL000" not in out
-    assert "0 files" in out
-
-
-def test_changed_follows_renames_without_rl000_noise(git_repo, capsys):
-    _git(git_repo, "mv", "pkg/committed.py", "pkg/renamed.py")
-    (git_repo / "pkg" / "renamed.py").write_text(WALL_CLOCK,
-                                                 encoding="utf-8")
-    rc = main(["pkg", "--changed", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "RL000" not in out
-    assert "renamed.py" in out
-    assert "committed.py" not in out
-
-
-def test_changed_works_from_a_subdirectory(git_repo, monkeypatch,
-                                           capsys):
-    # git reports paths relative to the toplevel; the scan must anchor
-    # them there even when invoked from inside the tree.
-    (git_repo / "pkg" / "fresh.py").write_text(WALL_CLOCK,
-                                               encoding="utf-8")
-    monkeypatch.chdir(git_repo / "pkg")
-    rc = main([str(git_repo / "pkg"), "--changed", "--no-baseline"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "fresh.py" in out
-    assert "RL000" not in out
-
-
-def test_changed_outside_git_is_a_usage_error(tmp_path, monkeypatch,
-                                              capsys):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GIT_DIR", str(tmp_path / "nope"))
-    rc = main([str(target), "--changed", "--no-baseline"])
-    assert rc == 2
-    assert "git" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# --prune-baseline
-# ----------------------------------------------------------------------
-def test_prune_baseline_drops_stale_keeps_live(tmp_path, capsys):
-    target = tmp_path / "mixed.py"
-    target.write_text(
-        "import time\n"
-        "import uuid\n"
-        "\n"
-        "\n"
-        "def f():\n"
-        "    stamp = time.time()\n"
-        "    return stamp, uuid.uuid4()\n",
-        encoding="utf-8")
-    baseline_path = tmp_path / "baseline.json"
-    assert main([str(target), "--write-baseline",
-                 "--baseline", str(baseline_path)]) == 0
-    assert len(Baseline.load(baseline_path)) == 2
-
-    # Fix one of the two baselined findings, then prune.
-    target.write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def f():\n"
-        "    stamp = time.time()\n"
-        "    return stamp\n",
-        encoding="utf-8")
-    capsys.readouterr()
-    rc = main([str(target), "--prune-baseline",
-               "--baseline", str(baseline_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "kept 1 of 2" in out
-    pruned = Baseline.load(baseline_path)
-    assert len(pruned) == 1
-    (key,) = pruned.entries
-    assert key[1] == "RL001"
-
-    # The pruned baseline still absorbs the remaining finding.
-    assert main([str(target), "--baseline",
-                 str(baseline_path)]) == 0
-
-
-def test_prune_baseline_without_a_baseline_is_a_usage_error(
-        tmp_path, monkeypatch, capsys):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    rc = main([str(target), "--prune-baseline"])
-    assert rc == 2
-    assert "baseline" in capsys.readouterr().err
-
-
-def test_prune_baseline_refuses_partial_changed_scans(tmp_path,
-                                                      capsys):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN, encoding="utf-8")
-    baseline_path = tmp_path / "baseline.json"
-    Baseline().dump(baseline_path)
-    rc = main([str(target), "--prune-baseline", "--changed",
-               "--baseline", str(baseline_path)])
-    assert rc == 2
-    assert "--changed" in capsys.readouterr().err

@@ -23,10 +23,11 @@ def rules_of(source, path="repro/collusion/x.py", allowlist=None):
 
 
 # ----------------------------------------------------------------------
-# RL201 — module-scope RNG construction
+# Import-time RNG construction — RL601 (the test names keep the retired
+# RL201 id)
 # ----------------------------------------------------------------------
 def test_rl201_fixture_pair():
-    assert fixture_rules("rl201_module_stream.py") == ["RL201"]
+    assert fixture_rules("rl201_module_stream.py") == ["RL601"]
     assert fixture_rules("rl201_injected_stream.py", kind="clean") == []
 
 
@@ -36,7 +37,7 @@ def test_rl201_flags_module_scope_stream_and_factory():
 
         FACTORY = RngFactory(1234)
         PACING = FACTORY.stream("pacing")
-    """) == ["RL201", "RL201"]
+    """) == ["RL601", "RL601"]
 
 
 def test_rl201_class_attribute_is_module_scope_state():
@@ -45,7 +46,7 @@ def test_rl201_class_attribute_is_module_scope_state():
 
         class Scheduler:
             rng = random.Random(7)
-    """) == ["RL201"]
+    """) == ["RL601"]
 
 
 def test_rl201_is_allowlisted_inside_sim():
@@ -57,7 +58,13 @@ def test_rl201_is_allowlisted_inside_sim():
     assert rules_of(source, path="repro/sim/rng.py",
                     allowlist=DEFAULT_ALLOWLIST) == []
     assert rules_of(source, path="repro/collusion/x.py",
-                    allowlist=DEFAULT_ALLOWLIST) == ["RL201"]
+                    allowlist=DEFAULT_ALLOWLIST) == ["RL601"]
+    # Only the factory is exempt: the rest of sim/ and the sanitizer
+    # are flagged like any other package.
+    assert rules_of(source, path="repro/sim/clock.py",
+                    allowlist=DEFAULT_ALLOWLIST) == ["RL601"]
+    assert rules_of(source, path="repro/sanitizer/trace.py",
+                    allowlist=DEFAULT_ALLOWLIST) == ["RL601"]
 
 
 # ----------------------------------------------------------------------

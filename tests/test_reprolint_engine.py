@@ -1,4 +1,4 @@
-"""Engine-level reprolint tests: pragmas, baseline, CLI, exit codes."""
+"""Engine-level reprolint tests: pragmas, CLI, exit codes."""
 
 import json
 import shutil
@@ -6,10 +6,8 @@ import textwrap
 from pathlib import Path
 
 from repro.cli import main as repro_main
-from repro.lint import LintEngine, lint_source
-from repro.lint.baseline import Baseline
+from repro.lint import lint_source
 from repro.lint.cli import main as lint_main
-from repro.lint.findings import Severity
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint"
 
@@ -58,7 +56,7 @@ def test_pragma_for_other_rule_does_not_suppress():
 
 
 # ----------------------------------------------------------------------
-# Baseline
+# CLI (both entry points share one implementation)
 # ----------------------------------------------------------------------
 def _violating_tree(tmp_path):
     tree = tmp_path / "fixture"
@@ -66,49 +64,9 @@ def _violating_tree(tmp_path):
     return tree
 
 
-def test_baseline_grandfathers_old_findings_fails_new(tmp_path):
-    tree = _violating_tree(tmp_path)
-    engine = LintEngine()
-    first = engine.run([tree])
-    assert first.failing(Severity.WARNING)
-
-    baseline = Baseline.from_findings(first.findings)
-    grandfathered = engine.run([tree], baseline=baseline)
-    assert grandfathered.failing(Severity.WARNING) == []
-    assert all(f.baselined for f in grandfathered.findings)
-    assert grandfathered.exit_code(Severity.WARNING) == 0
-
-    # A brand-new violation still fails against the old baseline.
-    extra = tree / "new_module.py"
-    extra.write_text("import time\n\n\ndef f():\n    return time.time()\n")
-    third = engine.run([tree], baseline=baseline)
-    failing = third.failing(Severity.WARNING)
-    assert [f.rule for f in failing] == ["RL001"]
-    assert failing[0].path == "fixture/new_module.py"
-
-
-def test_baseline_roundtrip_and_stale_entries(tmp_path):
-    tree = _violating_tree(tmp_path)
-    engine = LintEngine()
-    report = engine.run([tree])
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(report.findings).dump(path)
-    loaded = Baseline.load(path)
-    assert len(loaded) == len(report.findings)
-
-    # Fix one file: its baseline entries become stale, nothing fails.
-    (tree / "rl005_exceptions.py").write_text("VALUE = 1\n")
-    rerun = engine.run([tree], baseline=loaded)
-    assert rerun.failing(Severity.WARNING) == []
-    assert any(rule == "RL005" for _, rule, _ in rerun.stale_baseline)
-
-
-# ----------------------------------------------------------------------
-# CLI (both entry points share one implementation)
-# ----------------------------------------------------------------------
 def test_cli_nonzero_on_fixture_tree_with_every_rule(tmp_path, capsys):
     tree = _violating_tree(tmp_path)
-    exit_code = lint_main([str(tree), "--no-baseline", "--json"])
+    exit_code = lint_main([str(tree), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 1
     seen = {row["rule"] for row in payload["findings"]}
@@ -118,12 +76,12 @@ def test_cli_nonzero_on_fixture_tree_with_every_rule(tmp_path, capsys):
 
 def test_repro_cli_lint_subcommand(tmp_path, capsys):
     tree = _violating_tree(tmp_path)
-    assert repro_main(["lint", str(tree), "--no-baseline"]) == 1
+    assert repro_main(["lint", str(tree)]) == 1
     out = capsys.readouterr().out
     assert "RL001" in out and "RL005" in out
 
     clean = FIXTURES / "clean"
-    assert repro_main(["lint", str(clean), "--no-baseline"]) == 0
+    assert repro_main(["lint", str(clean)]) == 0
 
 
 def test_cli_fail_on_thresholds(tmp_path):
@@ -138,30 +96,13 @@ def test_cli_fail_on_thresholds(tmp_path):
     """))
     # RL005 is warning severity: fails at --fail-on warning, passes
     # at --fail-on error, passes at --fail-on never.
-    assert lint_main([str(tree), "--no-baseline"]) == 1
-    assert lint_main([str(tree), "--no-baseline",
-                      "--fail-on", "error"]) == 0
-    assert lint_main([str(tree), "--no-baseline",
-                      "--fail-on", "never"]) == 0
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    tree = _violating_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert lint_main([str(tree), "--baseline", str(baseline),
-                      "--write-baseline"]) == 0
-    assert baseline.is_file()
-    assert lint_main([str(tree), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
+    assert lint_main([str(tree)]) == 1
+    assert lint_main([str(tree), "--fail-on", "error"]) == 0
+    assert lint_main([str(tree), "--fail-on", "never"]) == 0
 
 
 def test_cli_missing_path_and_bad_baseline(tmp_path, capsys):
     assert lint_main([str(tmp_path / "nope")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"version\": 99}")
-    tree = tmp_path / "empty"
-    tree.mkdir()
-    assert lint_main([str(tree), "--baseline", str(bad)]) == 2
     capsys.readouterr()
 
 
@@ -169,51 +110,5 @@ def test_syntax_error_is_reported_not_crashed(tmp_path, capsys):
     tree = tmp_path / "broken"
     tree.mkdir()
     (tree / "mod.py").write_text("def f(:\n")
-    assert lint_main([str(tree), "--no-baseline"]) == 1
+    assert lint_main([str(tree)]) == 1
     assert "RL000" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Parse cache: stat fast path, content-digest fallback, --json stats
-# ----------------------------------------------------------------------
-def test_parse_cache_content_hash_rescues_touched_files(tmp_path):
-    import os
-
-    engine = LintEngine(allowlist={})
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    pairs = [("repro/mod.py", target)]
-
-    engine.run_files(pairs)                      # prime the cache
-    second = engine.run_files(pairs)
-    assert second.cache_stats["stat_hits"] == 1
-    assert second.cache_stats["misses"] == 0
-
-    # Same bytes, new mtime (a touch / fresh checkout): the digest
-    # fallback rescues the hit instead of re-parsing.
-    stat = target.stat()
-    os.utime(target, ns=(stat.st_atime_ns + 10_000_000_000,
-                         stat.st_mtime_ns + 10_000_000_000))
-    third = engine.run_files(pairs)
-    assert third.cache_stats["content_hits"] == 1
-    assert third.cache_stats["misses"] == 0
-
-    # And the refreshed signature serves the next run via stat alone.
-    fourth = engine.run_files(pairs)
-    assert fourth.cache_stats["stat_hits"] == 1
-    assert fourth.cache_stats["content_hits"] == 0
-
-    # An actual edit re-parses.
-    target.write_text("y = 2\n", encoding="utf-8")
-    fifth = engine.run_files(pairs)
-    assert fifth.cache_stats["misses"] == 1
-
-
-def test_json_output_reports_parse_cache_counts(tmp_path, capsys):
-    target = tmp_path / "ok.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    assert lint_main([str(target), "--no-baseline", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    cache = payload["parse_cache"]
-    assert set(cache) == {"stat_hits", "content_hits", "misses"}
-    assert sum(cache.values()) == 1

@@ -1,33 +1,23 @@
-"""Regression: the real tree is clean under the shipped baseline.
+"""Regression: the real tree is clean.
 
 This is the live gate behind the determinism contract: any new
 wall-clock read, global-random call, unordered iteration, entropy leak
 or broad swallow in ``src/repro`` fails this test (and the CI ``lint``
-job) unless it is pragma-annotated or deliberately baselined.
+job) unless it is pragma-annotated.
 """
 
 from pathlib import Path
 
 import repro
 from repro.lint import LintEngine
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Severity
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "tools" / "reprolint_baseline.json"
 PACKAGE = Path(repro.__file__).resolve().parent
-
-
-def test_shipped_baseline_exists_and_loads():
-    baseline = Baseline.load(BASELINE)
-    # The tree was fully fixed in the PR that introduced reprolint; the
-    # baseline should only ever shrink from empty.
-    assert len(baseline) == 0
 
 
 def test_real_tree_is_clean_under_shipped_baseline():
     engine = LintEngine()
-    report = engine.run([PACKAGE], baseline=Baseline.load(BASELINE))
+    report = engine.run([PACKAGE])
     failing = report.failing(Severity.WARNING)
     details = "\n".join(f.render() for f in failing)
     assert not failing, f"reprolint regressions:\n{details}"
@@ -43,7 +33,7 @@ def test_default_rules_cover_all_shipped_families():
     rules = default_rules()
     ids = {rule.rule_id for rule in rules}
     assert {"RL001", "RL002", "RL003", "RL004", "RL005",
-            "RL101", "RL201", "RL202", "RL203",
+            "RL101", "RL202", "RL203",
             "RL301", "RL302",
             "RL401", "RL402", "RL403",
             "RL601", "RL602", "RL604"} <= ids

@@ -4,12 +4,12 @@
 ``--record`` measures the current tree and writes the baseline JSON
 (``tools/reprolint_timing.json``); the default check mode re-measures
 and exits 1 when the run exceeds ``multiplier`` x the recorded
-seconds.  Each measurement clears the process-wide parse cache first
-and keeps the best of ``--repeats`` runs, so the number is the real
-cold parse+analyze cost, not a cache artifact.  The default 3x
-multiplier is deliberately generous: the guard exists to catch the
-fixpoint going quadratic on a growing tree, not a shared-runner blip
-— widen it further before weakening the analysis.
+seconds.  Each measurement parses and analyzes every file anew and
+the best of ``--repeats`` runs counts, so the number is the real cold
+parse+analyze cost.  The default 3x multiplier is deliberately
+generous: the guard exists to catch the fixpoint going quadratic on a
+growing tree, not a shared-runner blip — widen it further before
+weakening the analysis.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ DEFAULT_MULTIPLIER = 3.0
 
 def measure(targets, repeats: int):
     """Best-of-N cold wall seconds (and files scanned) for one tree."""
-    from repro.lint import graph
     from repro.lint.engine import LintEngine
 
     best = None
     files = 0
     for _ in range(repeats):
-        graph._PARSE_CACHE.clear()
         engine = LintEngine()
         start = time.perf_counter()
         report = engine.run([Path(target) for target in targets])
