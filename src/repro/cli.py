@@ -11,7 +11,10 @@ run        crash-tolerant full study (fault injection, checkpoints,
 san        diff two determinism shadow traces (``run --sanitize``)
 metrics    render a metrics.json written by ``run --telemetry``
 lint       reprolint: determinism & discipline static analysis
-bench      benchmark the pipeline stages (BENCH_PIPELINE.json)
+
+Pipeline throughput is benchmarked outside the package:
+``tools/bench_report.py`` records ``BENCH_PIPELINE.json``, and
+``perfbench/`` compares two trees.
 """
 
 from __future__ import annotations
@@ -154,24 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lint.cli import add_arguments as _add_lint_arguments
     _add_lint_arguments(lint)
 
-    bench = sub.add_parser(
-        "bench", help="benchmark pipeline stage throughput")
-    _common_flags(bench)
-    bench.set_defaults(scale=0.01)
-    bench.add_argument("--milking-days", type=int, default=None)
-    bench.add_argument("--campaign-days", type=int, default=None)
-    bench.add_argument("--parallel-experiments", action="store_true",
-                       help="fan experiment jobs out over processes")
-    bench.add_argument("--baseline", type=str, default=None,
-                       help="src dir of a baseline tree to compare "
-                            "against (runs both in subprocesses)")
-    bench.add_argument("--repeats", type=int, default=1,
-                       help="with --baseline, benchmark each tree this "
-                            "many times (interleaved) and keep the best")
-    bench.add_argument("--sanitize", action="store_true",
-                       help="record the reprosan shadow trace during "
-                            "the benchmarked study (measures the "
-                            "sanitizer's overhead on this workload)")
     return parser
 
 
@@ -479,55 +464,6 @@ def cmd_lint(args) -> int:
     return run_lint(args)
 
 
-def cmd_bench(args) -> int:
-    from repro.perf import bench
-
-    if args.baseline is not None:
-        try:
-            document = bench.compare_trees(
-                current_src=_own_src_dir(), baseline_src=args.baseline,
-                scale=args.scale, seed=args.seed,
-                parallel_experiments=args.parallel_experiments,
-                milking_days=args.milking_days,
-                campaign_days=args.campaign_days,
-                repeats=args.repeats, sanitize=args.sanitize)
-        except bench.BaselineError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        payload = bench.run_benchmark(
-            scale=args.scale, seed=args.seed,
-            parallel_experiments=args.parallel_experiments,
-            milking_days=args.milking_days,
-            campaign_days=args.campaign_days,
-            sanitize=args.sanitize)
-        document = {
-            "benchmark": "run_full_study",
-            "meta": {"scale": args.scale, "seed": args.seed,
-                     "milking_days": args.milking_days,
-                     "campaign_days": args.campaign_days,
-                     "parallel_experiments": args.parallel_experiments},
-            "current": payload,
-        }
-    if args.json:
-        _emit(json.dumps(document, indent=2), args.out)
-    else:
-        text = bench.render(document)
-        print(text)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-    return 0
-
-
-def _own_src_dir() -> str:
-    import repro
-
-    return os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-
-
 COMMANDS = {
     "scan": cmd_scan,
     "milk": cmd_milk,
@@ -538,7 +474,6 @@ COMMANDS = {
     "metrics": cmd_metrics,
     "score": cmd_score,
     "lint": cmd_lint,
-    "bench": cmd_bench,
 }
 
 

@@ -63,10 +63,16 @@ interleaves all children's log/activity/trace segments by global event
 order — restoring exactly what a serial run appends — and installs the
 disjoint part payloads through the same table.
 
-On this container the executor is about parallel *safety*, not speed:
-with one CPU core the forked children run sequentially, so a sharded
-day costs slightly more than a serial one (fork + pickle).  The value
-is the certified determinism contract and the measured conflict report.
+The executor is about parallel *safety*, not speed.  Children run one
+at a time by construction, whatever the core count: the day loop forks
+the next component only after :meth:`ShardSupervisor.run_component`
+has drained the previous child's pipe.  A sharded day therefore costs
+two to three times a serial one (fork + pickle): on a 2-core VM the
+10-day campaign of the disjoint pair fb-autolikers.com / autolike.vn
+took 0.59-0.68 s with two shards against 0.22-0.27 s serially at scale
+0.007, and 0.88 s against 0.33-0.41 s at scale 0.03, with equal log
+digests.  The value is the certified determinism contract and the
+measured conflict report.
 """
 
 from __future__ import annotations

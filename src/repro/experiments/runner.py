@@ -421,9 +421,10 @@ def run_full_study(config: Optional[StudyConfig] = None,
                    campaign_recovery=None):
     """Build, milk, counter, and report.  Returns (artifacts, report).
 
-    Stage timings and per-stage API-request counts accumulate into
-    ``timer`` (also stored as ``artifacts.timings``); on fault-plan runs
-    the injected-fault and retry tallies land there too.  ``checkpoint``
+    Stage timings, the built account count and per-stage API-request
+    counts accumulate into ``timer`` (also stored as
+    ``artifacts.timings``); on fault-plan runs the injected-fault and
+    retry tallies land there too.  ``checkpoint``
     / ``job_timeout`` flow through to :func:`run_experiments` for
     crash-tolerant experiment execution, ``campaign_recovery`` to
     :func:`run_campaign` for WAL journaling + day-granularity resume.
@@ -437,6 +438,9 @@ def run_full_study(config: Optional[StudyConfig] = None,
         TRACER.bind_clock(artifacts.world.clock)
     log = artifacts.world.api.log
     faults = artifacts.world.faults
+    # Milking and the campaign register accounts too, so the build
+    # stage's own count is only available here.
+    timer.count("build.accounts", len(artifacts.world.platform.accounts))
     timer.count("build.log_rows", len(log.all()))
     with timer.stage("milking"):
         run_milking(artifacts)

@@ -17,13 +17,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.lint.findings import Finding, Severity
 
 #: Per-rule path prefixes where the rule is intentionally off.  The
-#: perf shell measures real wall clock and inherits the caller's
-#: environment by design; the experiment runner is the sanctioned home
-#: for wall-timing of worker processes.
+#: perf shell is exempt from RL001 only: it and the span tracer
+#: measure real wall clock by design, and the experiment runner is the
+#: sanctioned home for wall-timing of worker processes.
 DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     "RL001": ("repro/perf/", "repro/experiments/runner.py",
               "repro/telemetry/"),
-    "RL004": ("repro/perf/",),
     # The sim package owns the clock representation: bucketing raw
     # ticks is its job.
     "RL203": ("repro/sim/",),

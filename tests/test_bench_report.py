@@ -1,0 +1,104 @@
+"""The two guards of ``tools/bench_report.py``, on synthetic documents.
+
+The throughput guard matches a run to the reference entry of the same
+workload (seed, scale and day overrides) and fails below the floor; the
+sanitizer guard holds the campaign-stage overhead to its budget.  No
+study runs here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_report.py"
+_spec = importlib.util.spec_from_file_location("bench_report", _TOOL)
+bench_report = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_report)
+GuardError = bench_report.GuardError
+
+
+def _payload(events_per_second, seed=2017, scale=0.001,
+             milking_days=None, campaign_days=None):
+    return {"seed": seed, "scale": scale, "milking_days": milking_days,
+            "campaign_days": campaign_days,
+            "stages": {"campaign": {
+                "events_per_second": events_per_second}}}
+
+
+def _run(events_per_second, **workload):
+    """A freshly benchmarked document, as ``main`` writes it."""
+    payload = _payload(events_per_second, **workload)
+    meta = {key: payload[key] for key in bench_report.WORKLOAD_KEYS}
+    return {"meta": meta, "current": payload}
+
+
+REFERENCE = {
+    "meta": {"scale": 0.01, "seed": 2017, "milking_days": None,
+             "campaign_days": None},
+    # Written before payloads carried their day overrides.
+    "current": {"scale": 0.01, "seed": 2017,
+                "stages": {"campaign": {"events_per_second": 500.0}}},
+    "sweep": [_payload(1000.0),
+              _payload(2000.0, milking_days=6, campaign_days=20)],
+}
+
+
+def test_throughput_guard_passes_at_or_above_the_floor():
+    floor = 1000.0 * (1.0 - bench_report.GUARD_TOLERANCE)
+    for reading in (floor, 1000.0, 1500.0):
+        verdict = bench_report.check_campaign_regression(
+            _run(reading), REFERENCE)
+        assert verdict.startswith("guard ok")
+    assert bench_report.check_campaign_regression(
+        _run(400.0, scale=0.01), REFERENCE).startswith("guard ok")
+
+
+def test_throughput_guard_fails_below_the_floor():
+    floor = 1000.0 * (1.0 - bench_report.GUARD_TOLERANCE)
+    with pytest.raises(GuardError, match="regression"):
+        bench_report.check_campaign_regression(_run(floor - 1), REFERENCE)
+    with pytest.raises(GuardError, match="regression"):
+        bench_report.check_campaign_regression(
+            _run(399.0, scale=0.01), REFERENCE)
+
+
+def test_throughput_guard_needs_a_reference_entry():
+    with pytest.raises(GuardError, match="no entry for .*scale=0.002"):
+        bench_report.check_campaign_regression(
+            _run(1000.0, scale=0.002), REFERENCE)
+
+
+def test_throughput_guard_matches_the_day_overrides():
+    # 1,000 events/s passes against the default-days entry but not
+    # against the 2,000 events/s entry of the shortened schedule.
+    with pytest.raises(GuardError, match="regression"):
+        bench_report.check_campaign_regression(
+            _run(1000.0, milking_days=6, campaign_days=20), REFERENCE)
+    with pytest.raises(GuardError, match="no entry for .*campaign_days=None"):
+        bench_report.check_campaign_regression(
+            _run(1000.0, milking_days=6), REFERENCE)
+
+
+def test_throughput_guard_matches_the_seed():
+    with pytest.raises(GuardError, match="no entry for seed=7 "):
+        bench_report.check_campaign_regression(
+            _run(1000.0, seed=7), REFERENCE)
+
+
+def _sanitized(overhead):
+    return {"sanitizer": {"overhead": {"campaign": overhead}}}
+
+
+def test_sanitizer_guard_holds_the_overhead_budget():
+    budget = bench_report.SANITIZER_BUDGET
+    for overhead in (-0.02, 0.0, budget):
+        verdict = bench_report.check_sanitizer_overhead(_sanitized(overhead))
+        assert verdict.startswith("guard ok")
+    with pytest.raises(GuardError, match="overhead regression"):
+        bench_report.check_sanitizer_overhead(_sanitized(budget + 0.01))
+
+
+def test_sanitizer_guard_needs_a_sanitizer_section():
+    with pytest.raises(GuardError, match="re-run with --sanitize"):
+        bench_report.check_sanitizer_overhead({"current": {}})

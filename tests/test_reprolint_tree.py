@@ -100,11 +100,9 @@ def test_allowlisted_shells_are_the_only_wall_clock_users():
     report = engine.run([PACKAGE])
     wall_clock_paths = {f.path for f in report.findings
                         if f.rule == "RL001"}
-    # bench.py's perf_counter calls live inside its subprocess-script
-    # template string, so the only AST-level wall-clock users are the
-    # StageTimer and the span tracer's wall-time axis.
+    # The only wall-clock users are the StageTimer and the span
+    # tracer's wall-time axis.
     assert wall_clock_paths == {"repro/perf/instrumentation.py",
                                 "repro/telemetry/tracing.py"}
-    environ_paths = {f.path for f in report.findings
-                     if f.rule == "RL004"}
-    assert environ_paths == {"repro/perf/bench.py"}
+    # Nothing reads the environment, allowlisted or not.
+    assert [f for f in report.findings if f.rule == "RL004"] == []
