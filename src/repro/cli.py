@@ -265,7 +265,7 @@ def cmd_run(args) -> int:
     from repro.experiments.checkpoint import CheckpointStore
     from repro.experiments.runner import run_full_study
     from repro.faults.plan import FaultPlan
-    from repro.countermeasures.recovery import CampaignRecovery
+    from repro.countermeasures.recovery import CampaignRecovery, RecoveryError
     from repro.journal.wal import SimulatedCrash
 
     fault_plan = None
@@ -332,6 +332,9 @@ def cmd_run(args) -> int:
         # chaos harnesses able to tell "injected crash" from success.
         print(f"simulated crash: {crash}", file=sys.stderr)
         return 70
+    except RecoveryError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     telemetry_files = None
     if args.telemetry:
         from repro.telemetry import TELEMETRY, TRACER, write_telemetry

@@ -21,7 +21,9 @@ On top of the rebuilt base world, ``prepare`` then
 2. picks the newest checkpoint the sealed journal still covers
    (``checkpoint.journal_records`` must equal the journal's record
    count through that day — a checkpoint that outran a chopped journal
-   is skipped);
+   is skipped), and raises :class:`RecoveryError` if its part names
+   differ from the campaign's ``state_parts()`` (telemetry, the
+   sanitizer or a fault plan switched on or off since it was written);
 3. replays the journal's rows back into the request log, byte for
    byte;
 4. installs the checkpoint overlay: the clock, the platform's growth
@@ -108,8 +110,7 @@ def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
     world.clock.advance_to(checkpoint.clock)
     world.platform.apply_delta(checkpoint.platform)
     for name, part in campaign.state_parts().items():
-        if name in checkpoint.parts:
-            part.install_state(checkpoint.parts[name])
+        part.install_state(checkpoint.parts[name])
     # Events the restored days already executed (e.g. milking follow-ups
     # scheduled into the campaign window) must not run twice.
     world.scheduler.discard_until(checkpoint.clock)
@@ -211,6 +212,20 @@ class CampaignRecovery:
             # landed between seal and checkpoint write on day 1):
             # nothing to resume from, start over on a fresh journal.
             return 1
+        # Telemetry, the sanitizer and the fault injector are parts
+        # only while on, and the fingerprint does not record them: a
+        # resume that turned one on would restart it at this day.
+        parts = campaign.state_parts()
+        missing = sorted(set(parts) - set(checkpoint.parts))
+        extra = sorted(set(checkpoint.parts) - set(parts))
+        if missing or extra:
+            raise RecoveryError(
+                f"the day {checkpoint.day} checkpoint in "
+                f"{self.directory} does not match this campaign's state "
+                f"parts (missing: {', '.join(missing) or 'none'}; "
+                f"extra: {', '.join(extra) or 'none'}); resume with "
+                f"the telemetry, sanitizer and fault plan of the run "
+                f"that wrote it")
         journal.drop_days_after(checkpoint.day)
         log = campaign.world.api.log
         rows = list(journal.replay_rows())

@@ -163,11 +163,7 @@ class FaultPlan:
             handle.write(self.to_json() + "\n")
 
 
-# The per-day rule caches (_cached_day/_scalar_rules/_crash_rules/
-# _torn_rules) are pure functions of the immutable plan and the queried
-# day, rebuilt on first use after any resume — they carry no state a
-# snapshot could lose.
-class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are derived per-day caches rebuilt from the immutable plan
+class FaultInjector:
     """Binds a :class:`FaultPlan` to a clock, an RNG stream and the
     token store, and answers the Graph API's "does this request fail?"
     questions.
@@ -180,6 +176,12 @@ class FaultInjector:  # reprolint: disable=RL401 — *_rules/_cached_day are der
     therefore produce identical decisions.  Injected faults are tallied
     in :attr:`counters` for the perf instrumentation layer.
     """
+
+    #: The per-day rule caches, left out of the state: they are pure
+    #: functions of the immutable plan and the queried day, rebuilt on
+    #: first use after a resume.
+    _TRANSIENT = ("_cached_day", "_scalar_rules", "_crash_rules",
+                  "_torn_rules")
 
     def __init__(self, plan: FaultPlan, rng: random.Random,
                  clock: SimClock, tokens=None) -> None:

@@ -51,11 +51,15 @@ from repro.telemetry.registry import TELEMETRY
 from repro.telemetry.tracing import TRACER
 
 
-# The IP->ASN and charge-token memos are caches over static pools and
-# the token store: an installed state rebuilds them on demand, so
-# export_state carries only the charge counters.
-class GraphApi:  # reprolint: disable=RL401 — _asn_cache/_charge_token_cache are memo caches, cleared or rebuilt on demand after an install
+class GraphApi:
     """Authenticated API over a :class:`SocialPlatform`."""
+
+    #: Memo caches left out of the state: the IP->ASN memo is a cache
+    #: over static pools and the charge-token memo one over the token
+    #: store, so an installed state rebuilds them on demand (install
+    #: clears the charge memo) and export_state carries only the
+    #: charge counters.
+    _TRANSIENT = ("_asn_cache", "_charge_token_cache")
 
     def __init__(self, clock: SimClock, platform: SocialPlatform,
                  apps: ApplicationRegistry, tokens: TokenStore,

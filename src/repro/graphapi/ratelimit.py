@@ -23,17 +23,19 @@ DEFAULT_TOKEN_ACTIONS_PER_DAY = 600
 REDUCED_TOKEN_ACTIONS_PER_DAY = 40
 
 
-# The eviction memo (_evict_now/_evicted) is a process-transient
-# same-timestamp cache: it is only meaningful while this process sits
-# at one `now`, so snapshots deliberately omit it and installs reset
-# it (a forced re-eviction is an idempotent no-op).
-class SlidingWindowLimiter:  # reprolint: disable=RL401 — _evict_now/_evicted are a transient same-timestamp eviction memo, reset on install
+class SlidingWindowLimiter:
     """Counts events per key within a sliding time window.
 
     ``allow(key, now)`` answers whether one more event fits under
     ``limit``; ``hit(key, now)`` records the event.  Old timestamps are
     evicted lazily per key.
     """
+
+    #: The eviction memo, left out of the state: it is a same-timestamp
+    #: cache, only meaningful while this process sits at one ``now``,
+    #: so installs reset it (a forced re-eviction is an idempotent
+    #: no-op).
+    _TRANSIENT = ("_evict_now", "_evicted")
 
     def __init__(self, limit: int, window_seconds: int) -> None:
         if limit <= 0:

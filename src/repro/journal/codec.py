@@ -1,11 +1,16 @@
 """The approved frame codec for journal row payloads.
 
 ``R`` frames carry one exported request-log row.  This module is the
-*only* sanctioned place where a row is turned into frame bytes and
-back (RL403 enforces that statically): the encode/decode pair lives
-side by side so the round-trip property — ``decode_row(encode_row(r))
-== r`` for any row of JSON-safe scalars — is reviewed as one unit and
-pinned by ``tests/test_journal.py``.
+one place where a row is turned into frame bytes and back: the
+encode/decode pair lives side by side so the round-trip property —
+``decode_row(encode_row(r)) == r`` for any row of JSON-safe scalars —
+is reviewed as one unit.  ``tests/test_journal_codec_fuzz.py`` pins
+the codec itself, and ``tests/test_journal.py`` pins that journaled
+rows replay byte-identical (``test_round_trip_and_chain_verify``,
+``test_torn_tail_truncates_to_last_seal``,
+``test_drop_days_after_rewinds_chain_head`` and
+``test_journaled_log_mirrors_appends`` fail if a row ``EventJournal``
+writes no longer replays as the same row).
 
 Rows are rendered with ``repr()`` and parsed with
 ``ast.literal_eval``: total for the tuple-of-scalars shape the request

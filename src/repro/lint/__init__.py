@@ -9,8 +9,9 @@ from ordered sources — and, per the paper's own findings, access-token
 values must never escape into telemetry.  ``reprolint`` turns those
 conventions into a static gate built on a project graph (symbol table,
 import/call graph) with function summaries computed to interprocedural
-convergence (SCC-ordered fixpoint over the call graph, including a
-mutation-effect lattice) and a flow-sensitive taint engine.
+convergence (SCC-ordered fixpoint over the call graph, including the
+module-level names each function writes) and a flow-sensitive taint
+engine.
 
 Rules
 -----
@@ -38,13 +39,9 @@ RL203  no raw ``%``/``//``/``/`` arithmetic on sim-clock readings
        outside ``repro/sim/``
 RL301  collusion/honeypot code must not mutate the platform directly
 RL302  …nor launder the mutation through a helper outside graphapi
-RL401  snapshot-protocol classes (export_*/install_*) and *Checkpoint
-       dataclasses must cover every mutable attribute / field
 RL402  *Delta dataclasses must pass and consume every field, and
        forked shard children must not write parent-visible state
        outside the delta
-RL403  journal frame payloads must round-trip through the approved
-       codec (encode_*/decode_* or json), never inline repr/pickle
 RL501  metric label values must be bounded (literals, names, attribute
        chains or ``redact_token(...)``), never f-strings or calls
 RL601  no RNG construction outside the factory ``repro/sim/rng.py``:

@@ -14,13 +14,12 @@ This module replaces that with a classic bottom-up fixpoint:
    nothing changes.  Every summary fact is a set that only ever grows
    under re-evaluation, so the iteration is monotone and terminates.
 
-On top of the existing taint facts the fixpoint computes a
-**mutation-effect lattice** — which ``self.X`` attributes and which
+On top of the existing taint facts the fixpoint computes which
 module-level names each function writes, directly or through any
-callee chain — and a ``returns_taint`` bit (the return value carries a
-token sourced *inside* the body, not just passed through).  The RL4xx
-state-coverage rules (``repro.lint.stateflow``) are built on these
-effects.
+callee chain (``global_writes``, read by RL402's forked-child purity
+check in ``repro.lint.stateflow``), and a ``returns_taint`` bit (the
+return value carries a token sourced *inside* the body, not just
+passed through).
 """
 
 from __future__ import annotations
@@ -28,15 +27,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.taint import (
-    TOKEN_PARAM_NAMES,
-    TaintWalker,
-    TokenTaintSpec,
-    attr_chain,
-)
+from repro.lint.taint import TOKEN_PARAM_NAMES, TaintWalker, TokenTaintSpec
 
 #: Methods that mutate their receiver in place.  A call
-#: ``self.X.append(...)`` is a write to the state held in ``self.X``.
+#: ``REGISTRY.append(...)`` is a write to the module-level name.
 MUTATOR_METHODS = frozenset({
     "append", "appendleft", "add", "discard", "remove", "pop",
     "popleft", "popitem", "clear", "update", "extend", "insert",
@@ -50,20 +44,12 @@ _SANCTIONED_MUTATION_PATHS = ("repro/graphapi/",)
 
 
 # ----------------------------------------------------------------------
-# Direct mutation effects of one function body
+# Direct module-global writes of one function body
 # ----------------------------------------------------------------------
 def _strip_subscripts(node: ast.AST) -> ast.AST:
     while isinstance(node, ast.Subscript):
         node = node.value
     return node
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """Attribute name if ``node`` is rooted at ``self`` (any depth)."""
-    chain = attr_chain(_strip_subscripts(node))
-    if len(chain) >= 2 and chain[0] == "self":
-        return chain[1]
-    return None
 
 
 def _flatten_targets(target: ast.AST) -> Iterable[ast.AST]:
@@ -75,18 +61,15 @@ def _flatten_targets(target: ast.AST) -> Iterable[ast.AST]:
 
 
 def direct_effects(fn_node: ast.AST,
-                   module_names: FrozenSet[str]
-                   ) -> Tuple[Set[str], Set[str]]:
-    """``(self_writes, global_writes)`` performed directly by a body.
+                   module_names: FrozenSet[str]) -> Set[str]:
+    """Module-level names a body writes directly.
 
-    Tracks plain/aug/ann assignments and ``del`` on ``self.X`` (with
-    any subscript or attribute nesting), in-place mutator calls
-    (``self.X.append(...)``), ``global``-declared rebinding, and
-    mutator calls on module-level names.  Writes through a local alias
-    (``ref = self.X; ref.y = 1``) are out of scope — the one
+    Tracks ``global``-declared rebinding, subscript stores and ``del``
+    into module-level containers, and in-place mutator calls on
+    module-level names.  Writes through a local alias
+    (``ref = REGISTRY; ref.append(1)``) are out of scope — the one
     documented hole, shared with every summary fact here.
     """
-    self_writes: Set[str] = set()
     global_writes: Set[str] = set()
     declared_global: Set[str] = set()
     for node in ast.walk(fn_node):
@@ -102,10 +85,6 @@ def direct_effects(fn_node: ast.AST,
             targets = list(node.targets)
         for target in targets:
             for leaf in _flatten_targets(target):
-                attr = _self_attr(leaf)
-                if attr is not None:
-                    self_writes.add(attr)
-                    continue
                 stripped = _strip_subscripts(leaf)
                 if isinstance(stripped, ast.Name):
                     name = stripped.id
@@ -118,16 +97,11 @@ def direct_effects(fn_node: ast.AST,
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in MUTATOR_METHODS):
-            base = node.func.value
-            attr = _self_attr(base)
-            if attr is not None:
-                self_writes.add(attr)
-            else:
-                stripped = _strip_subscripts(base)
-                if (isinstance(stripped, ast.Name)
-                        and stripped.id in module_names):
-                    global_writes.add(stripped.id)
-    return self_writes, global_writes
+            stripped = _strip_subscripts(node.func.value)
+            if (isinstance(stripped, ast.Name)
+                    and stripped.id in module_names):
+                global_writes.add(stripped.id)
+    return global_writes
 
 
 def module_level_names(tree: ast.Module) -> FrozenSet[str]:
@@ -243,15 +217,8 @@ def summarise_function(graph, fn, module_names: FrozenSet[str]):
     summary.mutates_platform = {
         call.func.attr for call in platform_mutation_calls(fn.node)
     }
-    self_writes, global_writes = direct_effects(fn.node, module_names)
-    summary.self_writes = self_writes
-    summary.global_writes = global_writes
-    # Effect inheritance through resolved call sites.  The call-site
-    # *form* matters: only a literal ``self.method(...)`` lands the
-    # callee's attribute writes on this instance — constructing a
-    # sibling of one's own class (``RngFactory(...)`` inside
-    # ``child()``) resolves to the same-class ``__init__`` but writes
-    # a different object.
+    summary.global_writes = direct_effects(fn.node, module_names)
+    # Effect inheritance through resolved call sites.
     for node in ast.walk(fn.node):
         if not isinstance(node, ast.Call):
             continue
@@ -264,12 +231,6 @@ def summarise_function(graph, fn, module_names: FrozenSet[str]):
         summary.global_writes |= callee.global_writes
         if not callee_fn.path.startswith(_SANCTIONED_MUTATION_PATHS):
             summary.mutates_platform |= callee.mutates_platform
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and callee_fn.cls == fn.cls
-                and callee_fn.module == fn.module):
-            summary.self_writes |= callee.self_writes
     return summary
 
 
@@ -281,7 +242,6 @@ def _summary_key(summary) -> Optional[Tuple]:
                      for param, kinds in summary.param_sink_flows.items())),
         tuple(sorted(summary.taint_through)),
         tuple(sorted(summary.mutates_platform)),
-        tuple(sorted(summary.self_writes)),
         tuple(sorted(summary.global_writes)),
         summary.returns_taint,
     )

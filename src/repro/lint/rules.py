@@ -506,11 +506,7 @@ def default_rules() -> List[Rule]:
         StreamSharingRule,
     )
     from repro.lint.sanitizer_rules import sanitizer_rules
-    from repro.lint.stateflow import (
-        JournalCodecRule,
-        ShardDeltaRule,
-        SnapshotCoverageRule,
-    )
+    from repro.lint.stateflow import ShardDeltaRule
     from repro.lint.taint import SimClockArithmeticRule, TokenTaintRule
     from repro.lint.telemetry_rules import MetricLabelRule
 
@@ -518,6 +514,5 @@ def default_rules() -> List[Rule]:
             EntropyRule(), ExceptionRule(),
             TokenTaintRule(), StreamSharingRule(),
             SimClockArithmeticRule(), ApiContractRule(),
-            IndirectMutationRule(), SnapshotCoverageRule(),
-            ShardDeltaRule(), JournalCodecRule(), MetricLabelRule(),
+            IndirectMutationRule(), ShardDeltaRule(), MetricLabelRule(),
             *sanitizer_rules()]

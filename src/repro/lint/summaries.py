@@ -18,13 +18,12 @@ rules need:
   (``*.platform.create_post(...)``), which RL302 uses to flag
   collusion/honeypot code that launders a platform write through a
   helper outside the Graph API.
-* ``self_writes`` / ``global_writes`` — the mutation-effect lattice:
-  which ``self.X`` attributes and module-level names the function
-  writes.  The RL4xx state-coverage rules are built on these.
+* ``global_writes`` — module-level names the function writes, which
+  RL402 uses to keep forked shard children from mutating module state.
 
 Summaries are computed to interprocedural convergence by
-:mod:`repro.lint.fixpoint` (SCC-ordered, callees first), so all five
-facts see through arbitrarily deep helper chains.
+:mod:`repro.lint.fixpoint` (SCC-ordered, callees first), so every fact
+sees through arbitrarily deep helper chains.
 """
 
 from __future__ import annotations
@@ -78,8 +77,6 @@ class FunctionSummary:
     taint_through: Set[str] = field(default_factory=set)
     #: platform mutation methods invoked in the body or any callee
     mutates_platform: Set[str] = field(default_factory=set)
-    #: ``self.X`` attributes written, directly or via self.method()
-    self_writes: Set[str] = field(default_factory=set)
     #: module-level names written, directly or via any callee
     global_writes: Set[str] = field(default_factory=set)
     #: return value carries taint sourced inside the body

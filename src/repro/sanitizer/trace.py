@@ -116,7 +116,7 @@ class _StreamState:
         self.ring: deque = deque(maxlen=RING_SIZE)
 
 
-class SanitizerTrace:  # reprolint: disable=RL401 — enabled is session wiring set before the world builds; _capture lives only inside one sharded day, and checkpoints export at day boundaries where both are at rest
+class SanitizerTrace:
     """The process-global shadow-trace recorder (``SANITIZER``).
 
     Disabled by default; when disabled every hook is a single

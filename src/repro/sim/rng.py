@@ -34,7 +34,7 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class RngFactory:  # reprolint: disable=RL401 — _wrapped is a lazily rebuilt cache of observation-only proxies; the raw generators in _streams carry all the state
+class RngFactory:
     """Hands out named, independent :class:`random.Random` streams.
 
     Requesting the same name twice returns the *same* generator instance, so

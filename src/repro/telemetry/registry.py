@@ -64,7 +64,7 @@ def _label_key(labels: Mapping[str, object]) -> LabelKey:
 # ``enabled`` and the ``stages`` wall-clock view are process wiring
 # (set by the CLI / bench harness), deliberately not simulation state:
 # a resumed run decides its own enablement and re-times its own stages.
-class TelemetryRegistry:  # reprolint: disable=RL401 — enabled/stages are process wiring, deliberately outside the snapshot
+class TelemetryRegistry:
     """Counters, gauges and fixed-bucket histograms, deterministically.
 
     All mutation goes through :meth:`count` / :meth:`gauge_set` /

@@ -97,8 +97,9 @@ def test_fig4_csv(mini_report):
 
 def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     """`repro run --journal` prints the durability summary (checkpoint
-    hits/misses, shard fallback reasons, journal state, log digest) and
-    a --resume over a completed journal restores instead of re-running."""
+    hits/misses, shard fallback reasons, journal state, log digest), a
+    --resume over a completed journal restores instead of re-running,
+    and a --resume that turns telemetry on is refused with exit 2."""
     import json as _json
 
     journal = str(tmp_path / "journal")
@@ -128,6 +129,22 @@ def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     assert len(run["log_digest"]) == 32
     assert run["log_digest"] != digest
     assert run["shard_blockers"] == []
+
+    # The journal was written with telemetry off: resuming it with
+    # telemetry on would restart the registry at the resume day.
+    from repro.telemetry import TELEMETRY, TRACER
+
+    try:
+        assert main(args + ["--resume", "--telemetry",
+                            str(tmp_path / "telemetry")]) == 2
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+        TRACER.disable()
+        TRACER.reset()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "missing: telemetry" in err
 
 
 def test_cli_run_rejects_a_plan_with_an_unknown_kind(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Fixpoint engine: deep-chain taint the one-level pass misses, SCC
-convergence, and the mutation-effect lattice RL4xx builds on."""
+convergence, and the transitive module-global writes RL402 reads."""
 
 import textwrap
 from pathlib import Path
@@ -84,38 +84,8 @@ def test_self_recursion_terminates():
 
 
 # ----------------------------------------------------------------------
-# Mutation-effect lattice
+# Module-global writes
 # ----------------------------------------------------------------------
-def test_self_writes_inherit_through_self_calls():
-    graph = graph_of("""
-        class Counter:
-            def __init__(self):
-                self.count = 0
-
-            def _bump(self):
-                self.count += 1
-
-            def record(self):
-                self._bump()
-    """)
-    assert "count" in summary(graph, ".Counter.record").self_writes
-
-
-def test_constructing_the_same_class_does_not_donate_writes():
-    # Regression: Factory.child() builds a *new* instance; __init__'s
-    # writes land on that object, not on self, so child() must not be
-    # treated as mutating self.seed.
-    graph = graph_of("""
-        class Factory:
-            def __init__(self, seed):
-                self.seed = seed
-
-            def child(self):
-                return Factory(self.seed + 1)
-    """)
-    assert summary(graph, ".Factory.child").self_writes == set()
-
-
 def test_global_writes_are_transitive():
     graph = graph_of("""
         REGISTRY = {}

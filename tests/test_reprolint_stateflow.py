@@ -1,6 +1,9 @@
-"""RL4xx state-coverage rules: the fixture corpus, rule mechanics, and
-the load-bearing gates over the real durability layer
-(``recovery.py`` / ``sharding.py`` / ``wal.py``)."""
+"""RL402, the shard-delta rule: the fixture corpus, rule mechanics, and
+the load-bearing gates over the real durability layer (``sharding.py``,
+plus ``recovery.py``'s checkpoint store as an RL103 sink).
+
+That a day checkpoint carries every part's state is tested at run time
+by ``tests/test_state_parts.py``, not linted."""
 
 import re
 import textwrap
@@ -27,31 +30,10 @@ def fixture_rules(name, kind="violations",
     return [f.rule for f in fixture_findings(name, kind, path)]
 
 
-def rules_of(source, path="repro/oauth/helpers.py"):
-    return [f.rule
-            for f in lint_source(textwrap.dedent(source), path=path)]
-
-
 # ----------------------------------------------------------------------
 # Fixture corpus: each violating module produces exactly its rule,
 # each clean twin produces nothing.
 # ----------------------------------------------------------------------
-def test_rl401_snapshot_fixture_pair():
-    findings = fixture_findings("rl401_missing_capture.py")
-    assert [f.rule for f in findings] == ["RL401"]
-    assert "'_peak'" in findings[0].message
-    assert fixture_rules("rl401_full_coverage.py", kind="clean") == []
-
-
-def test_rl401_checkpoint_fixture_pair():
-    findings = fixture_findings("rl401_checkpoint_fields.py")
-    assert [f.rule for f in findings] == ["RL401", "RL401"]
-    # Both failure modes name the dropped field.
-    assert all("spool" in f.message for f in findings)
-    assert fixture_rules("rl401_checkpoint_fields.py",
-                         kind="clean") == []
-
-
 def test_rl402_delta_fixture_pair():
     findings = fixture_findings("rl402_delta_unread.py")
     assert [f.rule for f in findings] == ["RL402"]
@@ -68,85 +50,9 @@ def test_rl402_fork_purity_fixture_pair():
     assert fixture_rules("rl402_pure_child.py", kind="clean") == []
 
 
-def test_rl403_fixture_pair():
-    findings = fixture_findings("rl403_raw_frame.py",
-                                path="repro/journal/helpers.py")
-    assert [f.rule for f in findings] == ["RL403", "RL403"]
-    messages = " ".join(f.message for f in findings)
-    assert "repr()" in messages
-    assert "literal_eval" in messages
-    assert fixture_rules("rl403_codec.py", kind="clean",
-                         path="repro/journal/helpers.py") == []
-
-
-def test_rl403_only_applies_inside_the_journal_package():
-    # The same raw round-trip outside repro/journal/ is not this
-    # rule's business.
-    assert fixture_rules("rl403_raw_frame.py",
-                         path="repro/oauth/helpers.py") == []
-
-
 # ----------------------------------------------------------------------
 # Rule mechanics beyond the corpus
 # ----------------------------------------------------------------------
-def test_rl401_capture_pair_cross_check_both_directions():
-    findings = lint_source(textwrap.dedent("""
-        class Windows:
-            def __init__(self):
-                self.events = {}
-                self.ghost = None
-                self.orphan = None
-
-            def hit(self, key):
-                self.events[key] = 1
-                self.ghost = key
-                self.orphan = key
-
-            def export_state(self):
-                return {"events": dict(self.events), "ghost": self.ghost}
-
-            def install_state(self, state):
-                self.events = dict(state["events"])
-                self.orphan = state["orphan"]
-    """), path="repro/oauth/helpers.py")
-    assert [f.rule for f in findings] == ["RL401", "RL401"]
-    messages = " ".join(f.message for f in findings)
-    assert "'ghost'" in messages      # exported, never installed
-    assert "'orphan'" in messages     # installed, never exported
-
-
-def test_rl401_dict_snapshot_skip_list_must_be_justified():
-    # A __dict__ snapshot covers everything EXCEPT the skip list; a
-    # mutated attribute on the skip list is exactly the state a resume
-    # loses, so it is flagged (pragma + justification required).
-    source = """
-        class Box:
-            _SKIP = ("cache",)
-
-            def __init__(self):
-                self.value = 0
-                self.cache = {}
-
-            def poke(self):
-                self.value += 1
-                self.cache["k"] = 1
-
-            def export_state(self):
-                return {k: v for k, v in self.__dict__.items()
-                        if k not in self._SKIP}
-
-            def install_state(self, state):
-                self.__dict__.update(state)
-    """
-    findings = lint_source(textwrap.dedent(source),
-                           path="repro/oauth/helpers.py")
-    assert [f.rule for f in findings] == ["RL401"]
-    assert "'cache'" in findings[0].message
-    # Without the skip list the dynamic snapshot covers both attrs.
-    assert rules_of(source.replace('_SKIP = ("cache",)',
-                                   '_SKIP = ()')) == []
-
-
 def test_rl402_transitive_child_impurity():
     # The child itself looks clean; the helper it calls writes a file.
     findings = lint_source(textwrap.dedent("""
@@ -171,21 +77,6 @@ def test_rl402_transitive_child_impurity():
 # Load-bearing gates: undoing any shipped fix or pragma in the real
 # durability layer makes the tree dirty again.
 # ----------------------------------------------------------------------
-def test_wal_codec_refactor_is_load_bearing():
-    source = (PACKAGE / "journal" / "wal.py").read_text(
-        encoding="utf-8")
-    assert lint_source(source, path="repro/journal/wal.py") == []
-    reverted = source.replace(
-        "self._write_frame(encode_row(row))",
-        'self._write_frame(b"R" + repr(row).encode("utf-8"))')
-    reverted = reverted.replace(
-        "yield decode_row(payload)",
-        'yield literal_eval(payload[1:].decode("utf-8"))')
-    assert reverted != source
-    findings = lint_source(reverted, path="repro/journal/wal.py")
-    assert [f.rule for f in findings] == ["RL403", "RL403"]
-
-
 def test_sharding_child_pipe_pragma_is_load_bearing():
     source = (PACKAGE / "countermeasures" / "sharding.py").read_text(
         encoding="utf-8")
@@ -228,21 +119,3 @@ def test_recovery_checkpoint_pragma_is_load_bearing():
         '        self.store.save("x", campaign.world.tokens.export_state())\n'))
     rules = [f.rule for f in lint_source(grafted, path=path)]
     assert rules == ["RL103"]
-
-
-def test_rl401_class_pragmas_are_load_bearing():
-    # CollusionNetwork ships every mutable field in export_state (its
-    # insertion-ordered dead_members included), so it needs no RL401
-    # pragma: stripping its other pragmas must not surface one.
-    cases = [
-        ("collusion/network.py", "repro/collusion/network.py", False),
-        ("faults/plan.py", "repro/faults/plan.py", True),
-        ("graphapi/ratelimit.py", "repro/graphapi/ratelimit.py", True),
-        ("graphapi/api.py", "repro/graphapi/api.py", True),
-    ]
-    for rel, path, pragma_needed in cases:
-        source = (PACKAGE / Path(rel)).read_text(encoding="utf-8")
-        assert lint_source(source, path=path) == [], rel
-        stripped = _PRAGMA.sub("", source)
-        rules = {f.rule for f in lint_source(stripped, path=path)}
-        assert ("RL401" in rules) == pragma_needed, rel

@@ -4,14 +4,23 @@
 
 Day checkpoints and shard deltas are both payloads of the registered
 parts, so a class that grows the protocol but is missing from the
-table would silently fall out of resume and shard merges.
+table would silently fall out of resume and shard merges.  A part that
+is registered but drops an attribute is caught by the day-checkpoint
+round trip: a pickled checkpoint installed into a rebuilt twin must
+match the source attribute by attribute, except the caches a class
+lists in its ``_TRANSIENT`` tuple.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import importlib
 import inspect
 import pkgutil
+import random
+from collections import deque
+from collections.abc import Mapping
 
 import repro
 from repro.apps.catalog import AppCatalog
@@ -22,12 +31,20 @@ from repro.countermeasures.campaign import (
     CampaignConfig,
     CountermeasureCampaign,
 )
+from repro.countermeasures.recovery import (
+    capture_checkpoint,
+    install_checkpoint,
+)
+from repro.experiments.checkpoint import CheckpointStore
 from repro.faults.plan import transient_plan
 from repro.graphapi.ratelimit import PolicyEnforcer, SlidingWindowLimiter
 from repro.sanitizer.trace import SANITIZER
 from repro.shorturl.shortener import UrlShortener
 from repro.sim.clock import DAY, SimClock
 from repro.telemetry.registry import TELEMETRY
+
+NETWORKS = ("fb-autolikers.com", "autolike.vn")
+SCALE = 0.002
 
 #: Protocol classes that are not parts themselves: each is exported
 #: and installed by the part that owns it.
@@ -53,21 +70,13 @@ def _protocol_classes():
     return found
 
 
-def _campaign_parts():
-    """``state_parts()`` of a small campaign with every plane on."""
+@contextlib.contextmanager
+def _planes_on():
+    """Telemetry and the sanitizer on, then off and empty again."""
     TELEMETRY.enable()
     SANITIZER.enable()
     try:
-        world = World(StudyConfig(scale=0.002, seed=5,
-                                  fault_plan=transient_plan(0.01)))
-        AppCatalog(world.apps, world.rng.stream("catalog"),
-                   tail_apps=0).build()
-        ecosystem = build_ecosystem(world, build_membership=False,
-                                    network_limit=13)
-        config = CampaignConfig.compressed(
-            12, networks=("fb-autolikers.com", "autolike.vn"),
-            hublaa_outage=None)
-        return CountermeasureCampaign(world, ecosystem, config).state_parts()
+        yield
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
@@ -75,8 +84,26 @@ def _campaign_parts():
         SANITIZER.reset()
 
 
+def _campaign():
+    """A small two-network, 12-day campaign under a transient fault
+    plan."""
+    world = World(StudyConfig(scale=SCALE, seed=5,
+                              fault_plan=transient_plan(0.01)))
+    AppCatalog(world.apps, world.rng.stream("catalog"),
+               tail_apps=0).build()
+    ecosystem = build_ecosystem(world, build_membership=False,
+                                network_limit=13)
+    for domain in NETWORKS:
+        network = ecosystem.network(domain)
+        network.build_membership(network.profile.pool_size(SCALE))
+    config = CampaignConfig.compressed(12, networks=NETWORKS,
+                                       hublaa_outage=None)
+    return CountermeasureCampaign(world, ecosystem, config)
+
+
 def test_every_state_class_is_a_registered_part():
-    parts = _campaign_parts()
+    with _planes_on():
+        parts = _campaign().state_parts()
     registered = {type(part) for part in parts.values()}
     for required in ("faults", "telemetry", "sanitizer"):
         assert required in parts
@@ -90,6 +117,157 @@ def test_every_state_class_is_a_registered_part():
         assert cls in registered, (
             f"{cls.__module__}.{cls.__qualname__} defines export_state/"
             f"install_state but is not a state_parts() entry")
+
+
+def _attrs(obj):
+    """An object's instance attributes, ``__slots__`` included."""
+    attrs = dict(getattr(obj, "__dict__", {}))
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            if not slot.startswith("__") and hasattr(obj, slot):
+                attrs[slot] = getattr(obj, slot)
+    return attrs
+
+
+class _Differ:
+    """Names every path at which two object graphs differ.
+
+    Mappings compare as mappings (key sets, then values), sequences
+    item by item, generators by ``getstate()``, bound methods by name
+    and receiver, and any other object by its attributes, minus the
+    names its class lists in ``_TRANSIENT``.  A reference to a part or
+    a world subsystem compares by which one it is (``names`` maps
+    ``id`` to a name on each side), so a part's back-references are
+    not walked twice.
+    """
+
+    def __init__(self, source_names, twin_names):
+        self.names = (source_names, twin_names)
+        self.seen = set()
+        self.paths = []
+
+    def objects(self, source, twin, path):
+        transient = getattr(type(source), "_TRANSIENT", ())
+        attrs = _attrs(source), _attrs(twin)
+        for name in transient:
+            if name not in attrs[0]:
+                self.paths.append(f"{path}._TRANSIENT names missing "
+                                  f"attribute {name!r}")
+        for name in sorted(set(attrs[0]) | set(attrs[1])):
+            if name in transient:
+                continue
+            if name not in attrs[0] or name not in attrs[1]:
+                self.paths.append(f"{path}.{name}")
+            else:
+                self.values(attrs[0][name], attrs[1][name],
+                            f"{path}.{name}")
+
+    def values(self, source, twin, path):
+        named = (self.names[0].get(id(source)),
+                 self.names[1].get(id(twin)))
+        if named != (None, None):
+            if named[0] != named[1]:
+                self.paths.append(path)
+            return
+        if source is twin:
+            return
+        if type(source) is not type(twin):
+            self.paths.append(path)
+            return
+        if isinstance(source, random.Random):
+            if source.getstate() != twin.getstate():
+                self.paths.append(path)
+        elif isinstance(source, Mapping):
+            if set(source) != set(twin):
+                self.paths.append(path)
+                return
+            for key in source:
+                self.values(source[key], twin[key], f"{path}[{key!r}]")
+        elif isinstance(source, (list, tuple, deque)):
+            if len(source) != len(twin):
+                self.paths.append(path)
+                return
+            for index, (left, right) in enumerate(zip(source, twin)):
+                self.values(left, right, f"{path}[{index}]")
+        elif hasattr(source, "__self__") and callable(source):
+            # A bound method: the same method of an equal receiver.
+            if source.__name__ != twin.__name__:
+                self.paths.append(path)
+            else:
+                self.values(source.__self__, twin.__self__, path)
+        elif _attrs(source) and not isinstance(source, type):
+            if (id(source), id(twin)) in self.seen:
+                return
+            self.seen.add((id(source), id(twin)))
+            self.objects(source, twin, path)
+        elif source != twin:
+            self.paths.append(path)
+
+
+def _subsystems(campaign, planes):
+    """``id`` -> name of every part and world subsystem; ``planes``
+    are named as well as the process-global planes they stand for."""
+    world = campaign.world
+    named = [("world", world), ("ecosystem", campaign.ecosystem)]
+    named += [(f"world.{name}", value)
+              for name, value in vars(world).items()]
+    named += [*campaign.state_parts().items(), *planes.items()]
+    return {id(value): name for name, value in named
+            if value is not None}
+
+
+def _run_days(campaign, days):
+    """Run campaign ``days``; returns the log digest and both planes'
+    exports."""
+    for day in days:
+        campaign._run_day(day)
+    return (campaign.world.api.log.digest(), TELEMETRY.export_state(),
+            SANITIZER.export_state())
+
+
+def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
+    # A resume installs a pickled day checkpoint into a rebuilt world;
+    # every attribute a campaign day mutates must come back, except
+    # the caches each class lists in _TRANSIENT.
+    planes = {"telemetry": TELEMETRY, "sanitizer": SANITIZER}
+    with _planes_on():
+        source = _campaign()
+        base = source.world.platform.mark()
+        base_rows = len(source.world.api.log)
+        _run_days(source, range(1, 10))
+        rows = source.world.api.log.export_rows(base_rows)
+        store = CheckpointStore(str(tmp_path))
+        store.save("day-00009", capture_checkpoint(source, 9, base,
+                                                   len(rows)))
+        checkpoint = store.load("day-00009")
+        # The planes are process-global: keep the source's copy aside
+        # while the twin is built under fresh ones.
+        saved = {name: copy.deepcopy(plane)
+                 for name, plane in planes.items()}
+        for plane in planes.values():
+            plane.reset()
+        twin = _campaign()
+        twin.world.api.log.append_exported(rows)
+        install_checkpoint(twin, checkpoint)
+
+        differ = _Differ(_subsystems(source, saved),
+                         _subsystems(twin, planes))
+        for name in ("clock", "platform"):
+            differ.objects(getattr(source.world, name),
+                           getattr(twin.world, name), name)
+        source_parts = {**source.state_parts(), **saved}
+        twin_parts = twin.state_parts()
+        assert list(twin_parts) == list(source_parts)
+        for name, part in twin_parts.items():
+            differ.objects(source_parts[name], part, name)
+        assert not differ.paths, differ.paths
+
+        # Both twins run the last three days the same way; the source
+        # runs on with its own planes put back.
+        twin_end = _run_days(twin, range(10, 13))
+        for name, plane in planes.items():
+            vars(plane).update(vars(saved[name]))
+        assert _run_days(source, range(10, 13)) == twin_end
 
 
 def _shortener():
