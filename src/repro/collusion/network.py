@@ -22,7 +22,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collusion.comments import CommentDictionary
 from repro.collusion.monetization import (
@@ -33,7 +33,7 @@ from repro.collusion.profiles import CollusionNetworkProfile, calibrate_pool_siz
 from repro.faults.retry import RetryPolicy
 from repro.graphapi.errors import GraphApiError, TransientApiError
 from repro.netsim.pools import IpPool
-from repro.oauth.errors import InvalidTokenError, OAuthError
+from repro.oauth.errors import InvalidTokenError
 from repro.oauth.server import AuthorizationRequest
 from repro.sanitizer.streams import hot_draw_bindings
 from repro.socialnet.errors import SocialNetworkError
@@ -93,10 +93,15 @@ class MemberDirectory:
     def __len__(self) -> int:
         return len(self._accounts)
 
-    def draw_member(self, exclude: Set[str],
+    def draw_member(self, exclude: Container[str],
                     country_mix: Optional[Sequence[Tuple[str, float]]] = None) -> str:
         """An account for a new membership: usually fresh, sometimes an
-        existing colluder from another network."""
+        existing colluder from another network.
+
+        ``exclude`` is only asked ``in``, so a caller passes its live
+        token DB itself rather than a copy: a recruit costs O(1), not
+        O(members).
+        """
         if self._accounts and self._rng.random() < self._overlap_rate:
             for _ in range(8):  # rejection-sample around exclusions
                 candidate = self._rng.choice(self._accounts)
@@ -263,7 +268,7 @@ class CollusionNetwork:
         member's account id."""
         if account_id is None:
             account_id = self.directory.draw_member(
-                exclude=set(self.token_db), country_mix=self._country_mix())
+                exclude=self.token_db, country_mix=self._country_mix())
         country = self.world.platform.get_account(account_id).country
         if self.short_url_slug is not None:
             self.world.shortener.click(
@@ -276,7 +281,12 @@ class CollusionNetwork:
     def _obtain_token(self, account_id: str) -> str:
         """The §3 workflow: reuse the app's live token if the user already
         installed it (e.g. via another collusion network), else run the
-        client-side flow and lift the token from the redirect fragment."""
+        client-side flow and take the token the redirect fragment carries.
+
+        The token is read from the structured result rather than parsed
+        back out of the redirect URL; both hold the same string (pinned
+        by ``tests/test_collusion_network.py``), and the literal
+        address-bar copy is :class:`CollusionWebsiteSession`'s."""
         existing = self.world.tokens.live_token_for(
             account_id, self.app.app_id)
         if existing is not None:
@@ -290,10 +300,7 @@ class CollusionNetwork:
             ),
             account_id,
         )
-        token_string = result.token_from_fragment()
-        if token_string is None:  # pragma: no cover - defensive
-            raise OAuthError("implicit flow returned no token")
-        return token_string
+        return result.access_token.token
 
     def _store_member(self, account_id: str, token_string: str,
                       country: str) -> None:

@@ -1,9 +1,9 @@
 """The OAuth 2.0 authorization server (implicit + authorization-code flows).
 
 The flows follow the message sequence of the paper's Fig. 1.  Redirects are
-materialized as URL strings, so the collusion-network trick of having the
-user copy ``#access_token=...`` out of the browser address bar (§3) is
-reproduced literally by parsing the redirect URL fragment.
+materialized as URL strings when read, so the collusion-network trick of
+having the user copy ``#access_token=...`` out of the browser address bar
+(§3) is reproduced literally by parsing the redirect URL fragment.
 """
 
 from __future__ import annotations
@@ -44,11 +44,41 @@ class AuthorizationRequest:
 
 @dataclass(frozen=True)
 class AuthorizationResult:
-    """Outcome of a completed authorization: the browser redirect."""
+    """Outcome of a completed authorization: the browser redirect.
 
-    redirect_url: str
+    The result keeps the structured outcome: the redirect URI, the
+    issued token (implicit flow) or code (authorization-code flow), and
+    the request's ``state``.  :attr:`redirect_url` builds the URL string
+    the browser is sent to only when it is read, so a bulk grant that
+    takes ``access_token`` directly pays no urlencode/parse round trip.
+    :meth:`token_from_fragment` and :meth:`code_from_query` parse that
+    real URL, as a user copying it out of the address bar would.
+    """
+
+    redirect_uri: str
     access_token: Optional[AccessToken] = None
     authorization_code: Optional[str] = None
+    state: Optional[str] = None
+
+    @property
+    def redirect_url(self) -> str:
+        """The redirect: the token in the URI fragment (implicit flow)
+        or the code in its query string (authorization-code flow)."""
+        token = self.access_token
+        if token is not None:
+            fragment = urllib.parse.urlencode({
+                "access_token": token.token,
+                "expires_in": token.expires_at - token.issued_at,
+                "token_type": "bearer",
+            })
+            if self.state:
+                fragment += "&" + urllib.parse.urlencode(
+                    {"state": self.state})
+            return f"{self.redirect_uri}#{fragment}"
+        query = {"code": self.authorization_code}
+        if self.state:
+            query["state"] = self.state
+        return f"{self.redirect_uri}?{urllib.parse.urlencode(query)}"
 
     def token_from_fragment(self) -> Optional[str]:
         """Extract ``access_token`` from the redirect URL fragment.
@@ -117,37 +147,22 @@ class AuthorizationServer:
                   user_id: str) -> AuthorizationResult:
         """User approves the dialog; returns the resulting redirect.
 
-        For ``response_type="token"`` the access token is appended to the
+        For ``response_type="token"`` the access token rides in the
         redirect URI *fragment* (implicit flow); for ``"code"`` an
-        authorization code is appended to the *query string*.
+        authorization code rides in the *query string*.
         """
         app = self._validate(request)
         if request.response_type == "token":
             token = self._tokens.issue(
                 user_id, app.app_id, request.scope, app.token_lifetime
             )
-            fragment = urllib.parse.urlencode({
-                "access_token": token.token,
-                "expires_in": token.expires_at - token.issued_at,
-                "token_type": "bearer",
-            })
-            if request.state:
-                fragment += "&" + urllib.parse.urlencode(
-                    {"state": request.state})
             return AuthorizationResult(
-                redirect_url=f"{request.redirect_uri}#{fragment}",
-                access_token=token,
-            )
-
-        code = self._mint_code(user_id, app, request)
-        query = {"code": code}
-        if request.state:
-            query["state"] = request.state
+                redirect_uri=request.redirect_uri, access_token=token,
+                state=request.state)
         return AuthorizationResult(
-            redirect_url=(f"{request.redirect_uri}?"
-                          f"{urllib.parse.urlencode(query)}"),
-            authorization_code=code,
-        )
+            redirect_uri=request.redirect_uri,
+            authorization_code=self._mint_code(user_id, app, request),
+            state=request.state)
 
     def _mint_code(self, user_id: str, app: Application,
                    request: AuthorizationRequest) -> str:

@@ -1,9 +1,10 @@
-"""The two guards of ``tools/bench_report.py``, on synthetic documents.
+"""The three guards of ``tools/bench_report.py``, on synthetic documents.
 
 The throughput guard matches a run to the reference entry of the same
 workload (seed, scale and day overrides) and fails below the floor; the
-sanitizer guard holds the campaign-stage overhead to its budget.  No
-study runs here.
+build-scaling guard compares build accounts/s at the sweep's largest
+and smallest scales; the sanitizer guard holds the campaign-stage
+overhead to its budget.  No study runs here.
 """
 
 import importlib.util
@@ -84,6 +85,51 @@ def test_throughput_guard_matches_the_seed():
     with pytest.raises(GuardError, match="no entry for seed=7 "):
         bench_report.check_campaign_regression(
             _run(1000.0, seed=7), REFERENCE)
+
+
+def _swept(*build_rates):
+    """A document whose sweep has these (scale, build accounts/s)."""
+    return {"sweep": [{"scale": scale,
+                       "stages": {"build": {"events_per_second": rate}}}
+                      for scale, rate in build_rates]}
+
+
+def test_build_scaling_guard_passes_at_or_above_the_floor():
+    floor = bench_report.BUILD_SCALING_FLOOR
+    for ratio in (floor, 1.0, 1.5):
+        # Sweep order does not matter: largest scale against smallest.
+        verdict = bench_report.check_build_scaling(
+            _swept((0.1, 10_000.0 * ratio), (0.001, 10_000.0),
+                   (0.01, 1.0)))
+        assert verdict.startswith("guard ok")
+
+
+def test_build_scaling_guard_fails_below_the_floor():
+    # The sweep recorded while every recruit copied the token DB: 891
+    # accounts/s at scale 0.1 against 11,443 at 0.001.
+    with pytest.raises(GuardError, match="build scaling regression"):
+        bench_report.check_build_scaling(
+            _swept((0.001, 11_443.0), (0.01, 12_316.0), (0.1, 891.0)))
+
+
+def test_build_scaling_guard_needs_two_sweep_scales():
+    for document in (_swept((0.01, 11_443.0)),
+                     _swept((0.01, 11_443.0), (0.01, 891.0)), {}):
+        assert bench_report.check_build_scaling(document).startswith(
+            "guard skipped")
+    with pytest.raises(GuardError, match="build stage missing"):
+        bench_report.check_build_scaling(
+            {"sweep": [{"scale": 0.001, "stages": {}},
+                       {"scale": 0.1, "stages": {}}]})
+
+
+def test_help_renders_the_guard_thresholds(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_report.main(["--help"])
+    assert exit_info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "below 50% of the smallest scale's" in out
+    assert "drop of more than 20%" in out
 
 
 def _sanitized(overhead):

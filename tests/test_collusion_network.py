@@ -35,6 +35,40 @@ def test_join_stores_token(built):
     assert w.tokens.validate(token).user_id == member
 
 
+def test_membership_grants_carry_the_token_in_the_redirect_fragment():
+    # Bulk recruits take the token from the structured grant, not from
+    # the redirect URL.  Every grant of every network's app must still
+    # be a real implicit-flow redirect whose fragment holds the token
+    # the network stored.
+    from repro.apps.catalog import AppCatalog
+    from repro.collusion.ecosystem import build_ecosystem
+    from repro.collusion.profiles import MILKED_PROFILES
+    from repro.core.config import StudyConfig
+    from repro.core.world import World
+
+    w = World(StudyConfig(scale=0.002, seed=5))
+    AppCatalog(w.apps, w.rng.stream("catalog"), tail_apps=0).build()
+    grants = {}
+    authorize = w.auth_server.authorize
+
+    def recording_authorize(request, user_id):
+        result = authorize(request, user_id)
+        grants[(user_id, request.app_id)] = result
+        return result
+
+    w.auth_server.authorize = recording_authorize
+    eco = build_ecosystem(w)
+    assert len(eco.networks) == len(MILKED_PROFILES)
+    for net in eco.networks.values():
+        assert net.token_db
+        for member, token in net.token_db.items():
+            result = grants[(member, net.app.app_id)]
+            assert result.token_from_fragment() == result.access_token.token
+            assert result.access_token.token == token
+            assert result.redirect_url.startswith(
+                net.app.redirect_uri + "#access_token=")
+
+
 def test_join_reuses_live_token_across_networks(built):
     w, eco = built
     a = eco.network("hublaa.me")

@@ -59,6 +59,23 @@ def test_state_round_trips(world, app, user):
     result = world.auth_server.authorize(
         _request(app, state="xyz"), user.account_id)
     assert "state=xyz" in result.redirect_url
+    # A state that needs quoting: the exact redirects (quoting and
+    # parameter order included) as the server has always built them.
+    state = "a b&c=d/ü"
+    implicit = world.auth_server.authorize(
+        _request(app, state=state), user.account_id)
+    assert implicit.redirect_url == (
+        "https://app.example/cb#access_token="
+        "EAABd998cf15ed6dad32f090923cba83e83e2276134b"
+        "&expires_in=5184000&token_type=bearer"
+        "&state=a+b%26c%3Dd%2F%C3%BC")
+    code = world.auth_server.authorize(
+        _request(app, response_type="code", state=state), user.account_id)
+    assert code.redirect_url == (
+        "https://app.example/cb?code=3accfaa65d02a83092f64bd6cd60dec9"
+        "&state=a+b%26c%3Dd%2F%C3%BC")
+    assert implicit.token_from_fragment() == implicit.access_token.token
+    assert code.code_from_query() == code.authorization_code
 
 
 def test_code_flow_returns_code_in_query(world, app, user):
