@@ -6,8 +6,8 @@ scan       run the §2.2 application scan and print Table 1
 milk       run the §4 milking campaign (Tables 4/6, Fig. 4)
 campaign   run the §6 countermeasure campaign (Figs. 5-8)
 full       run everything and print the complete report
-run        crash-tolerant full study (fault injection, checkpoints,
-           --resume, --telemetry, --sanitize)
+run        full study with fault injection, a resumable campaign
+           journal (--journal, --resume), --telemetry, --sanitize
 san        diff two determinism shadow traces (``run --sanitize``)
 metrics    render a metrics.json written by ``run --telemetry``
 lint       reprolint: determinism & discipline static analysis
@@ -77,30 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
     full.add_argument("--campaign-days", type=int, default=75)
 
     run = sub.add_parser(
-        "run", help="crash-tolerant full study: fault injection, "
-                    "per-experiment checkpoints, --resume")
+        "run", help="full study with fault injection and a resumable "
+                    "campaign journal (--journal, --resume)")
     _common_flags(run)
     run.add_argument("--milking-days", type=int, default=30)
     run.add_argument("--campaign-days", type=int, default=75)
     run.add_argument("--faults", type=str, default=None,
                      help="JSON fault-plan file to inject "
                           "(see examples/chaos_plan.json)")
-    run.add_argument("--checkpoint-dir", type=str, default=None,
-                     help="experiment checkpoint directory (default "
-                          ".repro-checkpoints/seed<seed>-scale<scale>)")
     run.add_argument("--resume", action="store_true",
-                     help="reuse checkpoints from a previous (crashed) "
-                          "run instead of clearing them")
+                     help="resume the --journal campaign instead of "
+                          "starting it over (needs --journal)")
     run.add_argument("--journal", type=str, default=None,
                      help="campaign WAL + day-checkpoint directory; "
                           "with --resume, a killed run restarts from "
                           "its last completed campaign day instead of "
                           "day 1")
-    run.add_argument("--parallel-experiments", action="store_true",
-                     help="fan experiment jobs out over processes")
-    run.add_argument("--job-timeout", type=float, default=None,
-                     help="seconds before a hung experiment worker is "
-                          "killed and its job re-run serially")
     run.add_argument("--telemetry", type=str, default=None,
                      metavar="DIR",
                      help="enable the telemetry plane and write "
@@ -238,12 +230,10 @@ def cmd_full(args) -> int:
     return 0
 
 
-def _run_summary(artifacts, store, recovery) -> str:
-    """Durability report for ``repro run``: what was reused, what
+def _run_summary(artifacts, recovery) -> str:
+    """Durability report for ``repro run``: what was resumed, what
     fell back, what the log hashes to."""
     lines = ["run summary:"]
-    lines.append(f"  experiment checkpoints: {store.hits} hit(s), "
-                 f"{store.misses} miss(es)")
     campaign = artifacts.campaign
     if campaign is not None:
         if campaign.shard_plan is not None:
@@ -262,12 +252,15 @@ def _run_summary(artifacts, store, recovery) -> str:
 
 
 def cmd_run(args) -> int:
-    from repro.experiments.checkpoint import CheckpointStore
     from repro.experiments.runner import run_full_study
     from repro.faults.plan import FaultPlan
     from repro.countermeasures.recovery import CampaignRecovery, RecoveryError
     from repro.journal.wal import SimulatedCrash
 
+    if args.resume and not args.journal:
+        print("error: --resume needs --journal (only the campaign "
+              "journal can be resumed)", file=sys.stderr)
+        return 2
     fault_plan = None
     if args.faults:
         try:
@@ -280,24 +273,6 @@ def cmd_run(args) -> int:
                          milking_days=args.milking_days,
                          campaign_days=args.campaign_days,
                          fault_plan=fault_plan)
-    directory = args.checkpoint_dir or os.path.join(
-        ".repro-checkpoints", f"seed{args.seed}-scale{args.scale}")
-    fingerprint = {
-        "seed": args.seed,
-        "scale": args.scale,
-        "milking_days": args.milking_days,
-        "campaign_days": args.campaign_days,
-        "faults": fault_plan.to_json(indent=None) if fault_plan else None,
-    }
-    store = CheckpointStore(directory, fingerprint=fingerprint)
-    if args.resume:
-        if not store.matches():
-            print(f"error: checkpoints in {directory} belong to a "
-                  "different configuration; re-run without --resume to "
-                  "clear them", file=sys.stderr)
-            return 2
-    else:
-        store.clear()
     recovery = None
     if args.journal:
         recovery = CampaignRecovery(args.journal, resume=args.resume)
@@ -322,9 +297,7 @@ def cmd_run(args) -> int:
         SANITIZER.enable()
     try:
         artifacts, report = run_full_study(
-            config, parallel_experiments=args.parallel_experiments,
-            checkpoint=store, job_timeout=args.job_timeout,
-            campaign_recovery=recovery, timer=timer)
+            config, campaign_recovery=recovery, timer=timer)
     except SimulatedCrash as crash:
         # A fault-plan crash (torn_tail etc.) ended the process the way
         # kill -9 would; the journal survives, so the same invocation
@@ -346,7 +319,7 @@ def cmd_run(args) -> int:
         from repro.sanitizer import SANITIZER, write_sanitizer
 
         sanitizer_path = write_sanitizer(args.sanitize)
-    summary = _run_summary(artifacts, store, recovery)
+    summary = _run_summary(artifacts, recovery)
     if args.telemetry:
         summary += (f"\n  telemetry: {len(telemetry_files)} file(s) in "
                     f"{args.telemetry}")
@@ -359,8 +332,6 @@ def cmd_run(args) -> int:
         log = artifacts.world.api.log
         payload = json.loads(export.report_to_json(report))
         payload["run"] = {
-            "checkpoint_hits": store.hits,
-            "checkpoint_misses": store.misses,
             "resumed_from_day": (campaign.resumed_from_day
                                  if campaign is not None else None),
             "shard_blockers": (list(campaign.shard_plan.blockers)

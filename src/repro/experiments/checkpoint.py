@@ -1,23 +1,26 @@
-"""Per-job experiment checkpoints for crash-tolerant study runs.
+"""Atomic pickle store for the campaign's day checkpoints.
 
-A :class:`CheckpointStore` persists each finished experiment's result
-object to its own pickle file, written atomically (tmp file +
-``os.replace``) so a crash mid-write can never corrupt a completed
-checkpoint.  A ``manifest.json`` fingerprint (seed, scale, day counts,
-fault plan) guards ``--resume`` against mixing checkpoints from a
-different study configuration.
+:class:`~repro.countermeasures.recovery.CampaignRecovery` saves one
+:class:`~repro.countermeasures.recovery.CampaignCheckpoint` per
+completed campaign day into a :class:`CheckpointStore` next to the
+journal, and on resume loads the newest one the sealed journal still
+covers.  Each entry is its own pickle file, written atomically (tmp
+file + fsync + ``os.replace``) so a crash mid-write can never corrupt
+a completed checkpoint; a torn or unreadable file loads as
+:data:`MISSING`, so resume falls back to an older day.  The journal's
+own ``meta.json`` fingerprint guards resume against a different
+configuration.
 
-The store deliberately keeps no in-memory cache of result objects: a
+The store deliberately keeps no in-memory cache of checkpoints: a
 resumed run re-reads from disk, which is exactly the crash-recovery
 path we want exercised.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 
 class _Missing:
@@ -28,70 +31,26 @@ class _Missing:
 
 
 #: Returned by :meth:`CheckpointStore.load` when no usable checkpoint
-#: exists for the job.
+#: exists under the name.
 MISSING = _Missing()
 
-_MANIFEST = "manifest.json"
 _SUFFIX = ".pkl"
 
 
 class CheckpointStore:
-    """Atomic per-job result checkpoints under one directory."""
+    """Atomic named checkpoints, one pickle file each, in one directory."""
 
-    def __init__(self, directory: str,
-                 fingerprint: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.fingerprint = fingerprint
-        #: ``load`` outcomes, for the run summary: checkpoints reused
-        #: vs jobs that had to (re)run.
-        self.hits = 0
-        self.misses = 0
         os.makedirs(directory, exist_ok=True)
 
-    # ------------------------------------------------------------------
-    # Manifest / fingerprint
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, _MANIFEST)
-
-    def write_manifest(self) -> None:
-        if self.fingerprint is None:
-            return
-        payload = json.dumps(self.fingerprint, indent=2, sort_keys=True)
-        tmp = self._manifest_path() + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self._manifest_path())
-
-    def stored_fingerprint(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._manifest_path(), "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def matches(self) -> bool:
-        """Whether on-disk checkpoints belong to this configuration."""
-        if self.fingerprint is None:
-            return True
-        stored = self.stored_fingerprint()
-        if stored is None:
-            # Empty/new directory: nothing to conflict with.
-            return not self.completed()
-        return stored == self.fingerprint
-
-    # ------------------------------------------------------------------
-    # Job checkpoints
-    # ------------------------------------------------------------------
     def _path(self, name: str) -> str:
         if not name or os.sep in name or name.startswith("."):
             raise ValueError(f"bad checkpoint name: {name!r}")
         return os.path.join(self.directory, name + _SUFFIX)
 
     def save(self, name: str, result: Any) -> None:
-        """Atomically persist one job's result.
+        """Atomically persist one checkpoint.
 
         The temp file is fsynced *before* the rename: ``os.replace`` is
         atomic for the directory entry but says nothing about the data
@@ -108,24 +67,21 @@ class CheckpointStore:
         os.replace(tmp, path)
 
     def load(self, name: str) -> Any:
-        """The stored result, or :data:`MISSING` if absent/corrupt."""
+        """The stored checkpoint, or :data:`MISSING` if absent/corrupt."""
         try:
             with open(self._path(name), "rb") as handle:
-                result = pickle.load(handle)
+                return pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
             return MISSING
         # Annotated salvage path: unpickling a torn/stale checkpoint can
-        # raise nearly anything, and "treat as never ran, re-run the
-        # job" is the crash-recovery contract this store exists for.
+        # raise nearly anything, and "treat as never written, fall back
+        # to an older one" is the crash-recovery contract this store
+        # exists for.
         except Exception:  # reprolint: disable=RL005 — torn pickle ⇒ MISSING
-            self.misses += 1
             return MISSING
-        self.hits += 1
-        return result
 
     def completed(self) -> List[str]:
-        """Names of jobs with a checkpoint on disk (sorted)."""
+        """Names of checkpoints on disk (sorted)."""
         try:
             entries = os.listdir(self.directory)
         except OSError:
@@ -140,7 +96,3 @@ class CheckpointStore:
                 os.remove(self._path(entry))
             except OSError:  # pragma: no cover - racy fs
                 pass
-        try:
-            os.remove(self._manifest_path())
-        except OSError:
-            pass

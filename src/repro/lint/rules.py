@@ -18,11 +18,9 @@ from repro.lint.findings import Finding, Severity
 
 #: Per-rule path prefixes where the rule is intentionally off.  The
 #: perf shell is exempt from RL001 only: it and the span tracer
-#: measure real wall clock by design, and the experiment runner is the
-#: sanctioned home for wall-timing of worker processes.
+#: measure real wall clock by design.
 DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
-    "RL001": ("repro/perf/", "repro/experiments/runner.py",
-              "repro/telemetry/"),
+    "RL001": ("repro/perf/", "repro/telemetry/"),
     # The sim package owns the clock representation: bucketing raw
     # ticks is its job.
     "RL203": ("repro/sim/",),

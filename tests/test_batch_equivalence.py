@@ -94,14 +94,6 @@ def test_waves_actually_ran(batched_artifacts, scalar_artifacts):
     assert scalar_artifacts.wave_calls["delivery_wave"] == 0
 
 
-def test_parallel_experiments_match_serial(batched_artifacts):
-    serial = runner.run_experiments(batched_artifacts, parallel=False)
-    parallel = runner.run_experiments(batched_artifacts, parallel=True)
-    assert parallel.render() == serial.render()
-    assert (export.report_to_json(parallel)
-            == export.report_to_json(serial))
-
-
 # ----------------------------------------------------------------------
 # Equivalence under an active fault plan
 # ----------------------------------------------------------------------

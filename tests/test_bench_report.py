@@ -4,10 +4,12 @@ The throughput guard matches a run to the reference entry of the same
 workload (seed, scale and day overrides) and fails below the floor; the
 build-scaling guard compares build accounts/s at the sweep's largest
 and smallest scales; the sanitizer guard holds the campaign-stage
-overhead to its budget.  No study runs here.
+overhead to its budget.  ``main`` measures each scale once.  No study
+runs here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -148,3 +150,26 @@ def test_sanitizer_guard_holds_the_overhead_budget():
 def test_sanitizer_guard_needs_a_sanitizer_section():
     with pytest.raises(GuardError, match="re-run with --sanitize"):
         bench_report.check_sanitizer_overhead({"current": {}})
+
+
+def test_sweep_reuses_the_current_measurement(tmp_path, monkeypatch):
+    """A sweep scale equal to --scale is the ``current`` run, not a
+    second study of the same workload."""
+    measured = []
+
+    def fake_measure(repeats, scale, **workload):
+        measured.append(scale)
+        build = {"seconds": 1.0, "events": 10, "event_unit": "accounts",
+                 "events_per_second": 10.0}
+        return {"scale": scale, **workload, "total_seconds": 1.0,
+                "rows_per_second": 10.0, "total_log_rows": 10,
+                "stages": {"build": build}, "wave_histograms": {}}
+
+    monkeypatch.setattr(bench_report, "_measure", fake_measure)
+    out = tmp_path / "bench.json"
+    assert bench_report.main(["--scale", "0.002", "--sweep", "0.002,0.03",
+                              "--out", str(out)]) == 0
+    assert measured == [0.002, 0.03]
+    document = json.loads(out.read_text())
+    assert [entry["scale"] for entry in document["sweep"]] == [0.002, 0.03]
+    assert document["sweep"][0] == document["current"]

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import export
+from repro.experiments import export, runner
 
 
 def test_parser_requires_command():
@@ -96,22 +96,20 @@ def test_fig4_csv(mini_report):
 
 
 def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
-    """`repro run --journal` prints the durability summary (checkpoint
-    hits/misses, shard fallback reasons, journal state, log digest), a
-    --resume over a completed journal restores instead of re-running,
-    and a --resume that turns telemetry on is refused with exit 2."""
+    """`repro run --journal` prints the durability summary (shard
+    fallback reasons, journal state, log digest), a --resume over a
+    completed journal restores instead of re-running and ends on the
+    same log digest, and a --resume that turns telemetry on is refused
+    with exit 2."""
     import json as _json
 
     journal = str(tmp_path / "journal")
     args = ["run", "--scale", "0.002", "--seed", "5",
             "--milking-days", "2", "--campaign-days", "10",
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--journal", journal]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "run summary:" in out
-    assert "experiment checkpoints:" in out
-    assert "hit(s)" in out and "miss(es)" in out
     assert "sealed through day 10" in out
     assert "request log:" in out and "digest" in out
     digest = out.split("digest ")[-1].strip()
@@ -122,12 +120,10 @@ def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     # Every campaign day was already sealed + checkpointed: the resumed
     # run restores the final day's state and re-executes nothing.
     assert run["resumed_from_day"] == 11
-    assert run["checkpoint_hits"] > 0
-    # The full-log digest legitimately differs here: experiment jobs
-    # were checkpoint hits, so their API rows were never re-logged.
-    # Byte-identical campaign convergence is test_campaign_resume.py's.
+    # The experiments re-run on the restored world, so the whole log,
+    # not only the campaign's part, matches the uninterrupted run.
     assert len(run["log_digest"]) == 32
-    assert run["log_digest"] != digest
+    assert run["log_digest"] == digest
     assert run["shard_blockers"] == []
 
     # The journal was written with telemetry off: resuming it with
@@ -147,18 +143,34 @@ def test_cli_run_journal_summary_and_noop_resume(tmp_path, capsys):
     assert "missing: telemetry" in err
 
 
-def test_cli_run_rejects_a_plan_with_an_unknown_kind(tmp_path, capsys):
+def _refuse_to_build(monkeypatch):
+    def build_world(config=None):
+        raise AssertionError("the world was built")
+
+    monkeypatch.setattr(runner, "build_world", build_world)
+
+
+def test_cli_run_rejects_a_plan_with_an_unknown_kind(tmp_path, capsys,
+                                                     monkeypatch):
     """A plan file naming a fault kind the injector does not know fails
     to load: `repro run` exits 2 before building anything."""
+    _refuse_to_build(monkeypatch)
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps(
         {"rules": [{"kind": "chunk", "probability": 0.05}]}))
-    checkpoints = tmp_path / "ckpt"
     assert main(["run", "--faults", str(plan),
-                 "--checkpoint-dir", str(checkpoints),
                  "--scale", "0.001", "--milking-days", "1",
                  "--campaign-days", "1"]) == 2
     err = capsys.readouterr().err
     assert f"cannot load fault plan {plan}" in err
     assert "unknown fault kind 'chunk'" in err
-    assert not checkpoints.exists() or not any(checkpoints.iterdir())
+
+
+def test_cli_run_rejects_resume_without_a_journal(capsys, monkeypatch):
+    """Only the campaign journal can be resumed: `repro run --resume`
+    without --journal exits 2 before building anything."""
+    _refuse_to_build(monkeypatch)
+    assert main(["run", "--resume", "--scale", "0.001",
+                 "--milking-days", "1", "--campaign-days", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --resume needs --journal")

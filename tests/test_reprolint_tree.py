@@ -9,7 +9,7 @@ job) unless it is pragma-annotated.
 from pathlib import Path
 
 import repro
-from repro.lint import LintEngine
+from repro.lint import DEFAULT_ALLOWLIST, LintEngine
 from repro.lint.findings import Severity
 
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -104,5 +104,9 @@ def test_allowlisted_shells_are_the_only_wall_clock_users():
     # tracer's wall-time axis.
     assert wall_clock_paths == {"repro/perf/instrumentation.py",
                                 "repro/telemetry/tracing.py"}
+    # Every allowlisted prefix exempts at least one of them.
+    for prefix in DEFAULT_ALLOWLIST["RL001"]:
+        assert any(path.startswith(prefix) for path in wall_clock_paths), (
+            f"RL001 allowlist entry {prefix!r} exempts nothing")
     # Nothing reads the environment, allowlisted or not.
     assert [f for f in report.findings if f.rule == "RL004"] == []

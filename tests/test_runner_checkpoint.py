@@ -1,15 +1,14 @@
-"""Crash-tolerant experiment execution: checkpoints, worker exception
-propagation, hung-worker recovery."""
+"""The atomic checkpoint store behind the campaign's day checkpoints,
+and exception propagation out of the serial experiments pass."""
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro.core.config import StudyConfig
-from repro.experiments import runner
+from repro.experiments import runner, table2
 from repro.experiments.checkpoint import MISSING, CheckpointStore
 
 
@@ -46,15 +45,10 @@ def test_store_survives_torn_write(tmp_path):
 
 
 def test_store_clear_and_manifest(tmp_path):
-    store = CheckpointStore(str(tmp_path), fingerprint={"seed": 7})
-    store.write_manifest()
+    store = CheckpointStore(str(tmp_path))
     store.save("table1", 1)
-    assert store.matches()
-    other = CheckpointStore(str(tmp_path), fingerprint={"seed": 8})
-    assert not other.matches()
     store.clear()
     assert store.completed() == []
-    assert store.stored_fingerprint() is None
 
 
 def test_store_rejects_path_traversal(tmp_path):
@@ -66,7 +60,7 @@ def test_store_rejects_path_traversal(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# run_experiments + checkpoints
+# run_experiments
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def built_artifacts():
@@ -75,86 +69,11 @@ def built_artifacts():
                                           network_limit=2))
 
 
-def test_run_experiments_writes_checkpoints(built_artifacts, tmp_path):
-    store = CheckpointStore(str(tmp_path), fingerprint={"seed": 13})
-    report = runner.run_experiments(built_artifacts, checkpoint=store)
-    assert sorted(store.completed()) == ["table1", "table2", "table3",
-                                         "table5"]
-    assert store.stored_fingerprint() == {"seed": 13}
-    assert report.table1 is not None
-
-
-def test_resumed_run_uses_checkpoints_without_rerunning(
-        built_artifacts, tmp_path, monkeypatch):
-    store = CheckpointStore(str(tmp_path))
-    full = runner.run_experiments(built_artifacts, checkpoint=store)
-    # Drop one checkpoint to simulate a crash before that job finished.
-    os.remove(os.path.join(str(tmp_path), "table3.pkl"))
-    calls = []
-    original = dict(runner._EXPERIMENT_RUNNERS)
-
-    def tracking(name):
-        def run(artifacts):
-            calls.append(name)
-            return original[name](artifacts)
-        return run
-
-    for name in original:
-        monkeypatch.setitem(runner._EXPERIMENT_RUNNERS, name,
-                            tracking(name))
-    resumed = runner.run_experiments(built_artifacts, checkpoint=store)
-    assert calls == ["table3"]  # only the missing job re-ran
-    assert resumed.table1.render() == full.table1.render()
-    assert resumed.table3.render() == full.table3.render()
-
-
-# ----------------------------------------------------------------------
-# Worker failure propagation (satellite: original exception + traceback)
-# ----------------------------------------------------------------------
-def test_parallel_worker_exception_propagates_original(
-        built_artifacts, monkeypatch):
-    def exploding(_artifacts):
-        raise ValueError("table2 exploded in the worker")
-
-    monkeypatch.setitem(runner._EXPERIMENT_RUNNERS, "table2", exploding)
-    with pytest.raises(ValueError, match="exploded in the worker") as info:
-        runner.run_experiments(built_artifacts, parallel=True)
-    cause = info.value.__cause__
-    assert isinstance(cause, runner.ExperimentWorkerError)
-    assert cause.experiment == "table2"
-    assert "exploding" in cause.worker_traceback
-
-
 def test_serial_worker_exception_also_propagates(built_artifacts,
                                                  monkeypatch):
-    def exploding(_artifacts):
+    def exploding(_world):
         raise RuntimeError("serial boom")
 
-    monkeypatch.setitem(runner._EXPERIMENT_RUNNERS, "table2", exploding)
+    monkeypatch.setattr(table2, "run", exploding)
     with pytest.raises(RuntimeError, match="serial boom"):
-        runner.run_experiments(built_artifacts, parallel=False)
-
-
-# ----------------------------------------------------------------------
-# Hung-worker recovery
-# ----------------------------------------------------------------------
-def test_hung_worker_is_killed_and_rerun_serially(built_artifacts,
-                                                  monkeypatch, tmp_path):
-    parent_pid = os.getpid()
-
-    def hangs_in_workers(_artifacts):
-        if os.getpid() != parent_pid:
-            time.sleep(60)  # hung worker: never returns in time
-        return "serial-result"
-
-    monkeypatch.setitem(runner._EXPERIMENT_RUNNERS, "table2",
-                        hangs_in_workers)
-    store = CheckpointStore(str(tmp_path))
-    start = time.monotonic()
-    report = runner.run_experiments(built_artifacts, parallel=True,
-                                    job_timeout=3, checkpoint=store)
-    elapsed = time.monotonic() - start
-    assert elapsed < 40  # the hung worker did not stall the run
-    assert report.table2 == "serial-result"  # serial rerun result
-    assert report.table1 is not None  # sibling results survived
-    assert "table2" in store.completed()
+        runner.run_experiments(built_artifacts)

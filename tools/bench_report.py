@@ -414,8 +414,11 @@ def main(argv=None) -> int:
     }
     if args.sweep:
         scales = [float(token) for token in args.sweep.split(",") if token]
-        document["sweep"] = [_measure(args.repeats, scale=scale, **workload)
-                             for scale in scales]
+        # The scale of ``current`` is already measured: reuse it.
+        document["sweep"] = [
+            document["current"] if scale == args.scale
+            else _measure(args.repeats, scale=scale, **workload)
+            for scale in scales]
     if args.sanitize:
         document["sanitizer"] = _sanitizer_section(
             document["current"], args.repeats, scale=args.scale,
