@@ -39,7 +39,7 @@ from repro.sanitizer.streams import hot_draw_bindings
 from repro.socialnet.errors import SocialNetworkError
 from repro.telemetry.registry import TELEMETRY
 
-#: try_* result codes that mark a retryable (injected) failure.
+#: Wave verdict codes that mark a retryable (injected) failure.
 _TRANSIENT_CODES = ("transient", "timeout")
 
 
@@ -176,10 +176,6 @@ class CollusionNetwork:
         self._requests_today: Dict[str, int] = {}
         self._accounted_day = -1
 
-        # ``batch_requests_enabled = False`` forces the scalar path
-        # everywhere (the two are RNG-stream equivalent; the flag exists
-        # for equivalence tests and debugging).
-        self.batch_requests_enabled = True
         # Resilience: transient API failures (fault injection) are
         # retried with deterministic backoff and a per-endpoint circuit
         # breaker.  All of this is inert (and free) while the world has
@@ -550,13 +546,20 @@ class CollusionNetwork:
 
     def _deliver_likes(self, post_id: str, quota: int,
                        exclude: Set[str]) -> DeliveryReport:
+        """One delivery round, run whole through one
+        :class:`~repro.graphapi.api.DeliveryWave`: token/limiter state
+        is memoized per wave and the log rows and window hits land in
+        one flush.  Under a fault plan the wave rolls the plan and
+        re-checks token validity per entry, and transient codes are
+        retried inside the wave."""
         report = DeliveryReport(requested=quota, delivered=0, attempts=0)
         used: Set[str] = set(exclude)
         budget = max(1, int(quota * self.profile.retry_factor))
-        if self.batch_requests_enabled:
-            self._deliver_likes_wave(post_id, quota, budget, used, report)
-        else:
-            self._deliver_likes_scalar(post_id, quota, budget, used, report)
+        wave = self.world.api.delivery_wave(post_id)
+        try:
+            self._wave_like_run(wave, quota, budget, used, report)
+        finally:
+            wave.finish()
         self.total_likes_delivered += report.delivered
         if TELEMETRY.enabled:
             self._report_delivery_telemetry(report)
@@ -585,49 +588,11 @@ class CollusionNetwork:
                             report.giveups_deadline,
                             network=domain, reason="deadline")
 
-    def _deliver_likes_scalar(self, post_id: str, quota: int, budget: int,
-                              used: Set[str],
-                              report: DeliveryReport) -> None:
-        """The per-request delivery loop: one :meth:`GraphApi.try_like_post`
-        round-trip per sampled member.
-
-        This is the wave path's verification oracle — a wave run must
-        produce this loop's exact RNG stream, log rows and report (see
-        tests/test_batch_equivalence.py) — and the live path whenever
-        batching is disabled."""
-        while (report.delivered < quota and report.attempts < budget
-               and not report.halted):
-            report.attempts += 1
-            member = self._sample_member(used)
-            if member is None:
-                break
-            if not self._perform_like(member, post_id, report):
-                continue
-            used.add(member)
-            report.delivered += 1
-
-    def _deliver_likes_wave(self, post_id: str, quota: int, budget: int,
-                            used: Set[str], report: DeliveryReport) -> None:
-        """Planned-wave delivery: the whole round in bulk admission.
-
-        Every entry flows through one
-        :class:`~repro.graphapi.api.DeliveryWave` with memoized
-        token/limiter state, and the log rows and window hits land in
-        one flush.  Under a fault plan the wave rolls the plan and
-        re-checks token validity per entry, and transient codes are
-        retried inside the wave, so the round replays the scalar
-        oracle's stream."""
-        wave = self.world.api.delivery_wave(post_id)
-        try:
-            self._wave_like_run(wave, quota, budget, used, report)
-        finally:
-            wave.finish()
-
     def _wave_like_run(self, wave, quota: int, budget: int,
                        used: Set[str], report: DeliveryReport) -> None:
-        """Run one delivery round's entries through ``wave``.  Per-entry
-        RNG draws, verdict handling and report bookkeeping mirror
-        :meth:`_deliver_likes_scalar` + :meth:`_perform_like` exactly."""
+        """Run one delivery round's entries through ``wave``: sample a
+        member, pick a server IP, like, and fold the verdict into the
+        network's adaptation state and ``report``."""
         sample_member = self._sample_member
         token_get = self.token_db.get
         pick_ip = self._pick_ip
@@ -687,58 +652,6 @@ class CollusionNetwork:
             self._note_use(member)
             used.add(member)
             report.delivered += 1
-
-    def _perform_like(self, member: str, post_id: str,
-                      report: DeliveryReport) -> bool:
-        token = self.token_db.get(member)
-        if token is None:
-            return False
-        ip = self._pick_ip()
-        if ip is None:
-            report.blocked += 1
-            report.halted = True
-            return False
-        code = self.world.api.try_like_post(token, post_id, source_ip=ip)
-        if code in _TRANSIENT_CODES:
-            policy = self.retry_policy
-            counters = policy.counters
-            before = counters["retries"]
-            attempts0 = counters["giveups_attempts"]
-            deadline0 = counters["giveups_deadline"]
-            code = policy.retry(
-                "like_post", member, self.world.clock._now,
-                lambda: self.world.api.try_like_post(
-                    token, post_id, source_ip=ip),
-                code)
-            report.retries += counters["retries"] - before
-            report.giveups_attempts += (
-                counters["giveups_attempts"] - attempts0)
-            report.giveups_deadline += (
-                counters["giveups_deadline"] - deadline0)
-        if code is not None:
-            if code == "invalid_token":
-                self._drop_member(member)
-                report.dead_tokens_dropped += 1
-            elif code == "token_limit":
-                self._rate_errors_today += 1
-                report.rate_limited += 1
-            elif code == "ip_limit":
-                self._exhausted_ips.add(ip)
-                self._invalidate_ip_cache()
-                report.ip_limited += 1
-            elif code == "blocked":
-                asn = self.world.as_registry.asn_of(ip)
-                if asn is not None:
-                    self._blocked_asns.add(asn)
-                    self._invalidate_ip_cache()
-                report.blocked += 1
-            elif code in _TRANSIENT_CODES:
-                report.transient_failures += 1
-            else:
-                report.other_failures += 1
-            return False
-        self._note_use(member)
-        return True
 
     def _deliver_comments(self, post_id: str, quota: int,
                           exclude: Set[str]) -> DeliveryReport:
@@ -1018,131 +931,62 @@ class CollusionNetwork:
     # ------------------------------------------------------------------
     def serve_background_requests(self, count: int) -> int:
         """Serve ``count`` anonymous member like-requests; returns the
-        number of like charges that succeeded."""
+        number of like charges that succeeded.
+
+        One charge wave spans the whole serving event: every request in
+        it shares this clock instant, so token lookups and window
+        capacities memoize across requests and the limiter hits land in
+        a single flush.  The entry loop is inlined because it processes
+        millions of entries per campaign; its verdict handling is
+        :meth:`_wave_like_run`'s, without a report."""
         if count <= 0:
             return 0
-        total = 0
-        if not self.batch_requests_enabled:
-            charge = self.world.api.try_charge_like
-            for _ in range(count):
-                total += self._serve_one_background(charge)
-            return total
-        # One charge wave spans the whole serving event: every request
-        # in it shares this clock instant, so token lookups and window
-        # capacities memoize across requests and the limiter hits land
-        # in a single flush.
-        wave = self.world.api.delivery_wave()
-        try:
-            if self.world.faults is None:
-                for _ in range(count):
-                    total += self._serve_one_background_wave(wave)
-            else:
-                charge = wave.charge
-                for _ in range(count):
-                    total += self._serve_one_background(charge)
-        finally:
-            wave.finish()
-        return total
-
-    def _background_entry(self, charge, used: Set[str]) -> Optional[int]:
-        """One sampled charge attempt: 1 charged, 0 failed, ``None``
-        when the request must stop (member pool or IP pool ran dry).
-        ``charge(token, ip)`` is either the scalar
-        :meth:`GraphApi.try_charge_like` oracle or a wave's
-        :meth:`~repro.graphapi.api.DeliveryWave.charge` — both consume
-        identical RNG/fault draws and bookkeeping."""
-        member = self._sample_member(used)
-        if member is None:
-            return None
-        token = self.token_db.get(member)
-        if token is None:
-            return 0
-        ip = self._pick_ip()
-        if ip is None:
-            return None
-        code = charge(token, ip)
-        if code in _TRANSIENT_CODES:
-            code = self.retry_policy.retry(
-                "charge_like", member, self.world.clock._now,
-                lambda: charge(token, ip), code)
-        if code is not None:
-            if code == "invalid_token":
-                self._drop_member(member)
-            elif code == "token_limit":
-                self._rate_errors_today += 1
-            elif code == "ip_limit":
-                self._exhausted_ips.add(ip)
-                self._invalidate_ip_cache()
-            elif code == "blocked":
-                asn = self.world.as_registry.asn_of(ip)
-                if asn is not None:
-                    self._blocked_asns.add(asn)
-                    self._invalidate_ip_cache()
-            return 0
-        used.add(member)
-        return 1
-
-    def _serve_one_background(self, charge) -> int:
-        """One background request, one :meth:`_background_entry` per
-        attempt: the scalar oracle (``charge`` is
-        :meth:`GraphApi.try_charge_like`) and the fault-plan wave path
-        (``charge`` is the open wave's ``charge``)."""
         quota = self.profile.likes_per_request
         budget = max(1, int(quota * self.profile.retry_factor))
-        delivered = 0
-        attempts = 0
-        used: Set[str] = set()
-        while delivered < quota and attempts < budget:
-            attempts += 1
-            got = self._background_entry(charge, used)
-            if got is None:
-                break
-            delivered += got
-        return delivered
-
-    def _serve_one_background_wave(self, wave) -> int:
-        """One background request through an open (fault-free) wave.
-
-        The entry bookkeeping mirrors :meth:`_background_entry` exactly;
-        it is inlined — and the impossible-here transient-retry check
-        dropped (:meth:`DeliveryWave.charge` only returns transient
-        codes from a live fault injector) — because this loop processes
-        millions of entries per campaign."""
-        quota = self.profile.likes_per_request
-        budget = max(1, int(quota * self.profile.retry_factor))
-        delivered = 0
-        attempts = 0
-        used: Set[str] = set()
-        charge = wave.charge
         sample_member = self._sample_member
         token_get = self.token_db.get
         pick_ip = self._pick_ip
-        while delivered < quota and attempts < budget:
-            attempts += 1
-            member = sample_member(used)
-            if member is None:
-                break
-            token = token_get(member)
-            if token is None:
-                continue
-            ip = pick_ip()
-            if ip is None:
-                break
-            code = charge(token, ip)
-            if code is not None:
-                if code == "token_limit":
-                    self._rate_errors_today += 1
-                elif code == "invalid_token":
-                    self._drop_member(member)
-                elif code == "ip_limit":
-                    self._exhausted_ips.add(ip)
-                    self._invalidate_ip_cache()
-                elif code == "blocked":
-                    asn = self.world.as_registry.asn_of(ip)
-                    if asn is not None:
-                        self._blocked_asns.add(asn)
-                        self._invalidate_ip_cache()
-                continue
-            used.add(member)
-            delivered += 1
-        return delivered
+        total = 0
+        wave = self.world.api.delivery_wave()
+        charge = wave.charge
+        try:
+            for _ in range(count):
+                delivered = 0
+                attempts = 0
+                used: Set[str] = set()
+                while delivered < quota and attempts < budget:
+                    attempts += 1
+                    member = sample_member(used)
+                    if member is None:
+                        break
+                    token = token_get(member)
+                    if token is None:
+                        continue
+                    ip = pick_ip()
+                    if ip is None:
+                        break
+                    code = charge(token, ip)
+                    if code in _TRANSIENT_CODES:
+                        code = self.retry_policy.retry(
+                            "charge_like", member, self.world.clock._now,
+                            lambda: charge(token, ip), code)
+                    if code is not None:
+                        if code == "token_limit":
+                            self._rate_errors_today += 1
+                        elif code == "invalid_token":
+                            self._drop_member(member)
+                        elif code == "ip_limit":
+                            self._exhausted_ips.add(ip)
+                            self._invalidate_ip_cache()
+                        elif code == "blocked":
+                            asn = self.world.as_registry.asn_of(ip)
+                            if asn is not None:
+                                self._blocked_asns.add(asn)
+                                self._invalidate_ip_cache()
+                        continue
+                    used.add(member)
+                    delivered += 1
+                total += delivered
+        finally:
+            wave.finish()
+        return total

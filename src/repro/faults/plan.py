@@ -56,7 +56,7 @@ FAULT_KINDS = ("transient", "timeout", "rate_limit", "invalidate_token",
                "child_crash", "torn_tail")
 
 #: Pseudo-action key used by the charge-only admission path (there is no
-#: ApiAction for it; see GraphApi.try_charge_like and DeliveryWave.charge).
+#: ApiAction for it; see DeliveryWave.charge).
 CHARGE_ACTION = "CHARGE_LIKE"
 
 

@@ -79,13 +79,13 @@ class GraphApi:
         #: build without the subsystem.
         self.faults = None
         #: Aggregate counters for the charge-only path (see
-        #: try_charge_like).
+        #: DeliveryWave.charge).
         self.charge_counters: Dict[str, int] = {"likes": 0}
         # Source IPs are drawn from static pools, so IP->ASN memoizes well.
         self._asn_cache: Dict[str, Optional[int]] = {}
-        # Charge-path token memo: access token -> (token, app, granted).
+        # The waves' token memo: access token -> (token, app, granted).
         # Token objects are shared references, so the mutable validity
-        # bits (invalidated, expiry) are still checked on every call.
+        # bits (invalidated, expiry) are still checked on every entry.
         self._charge_token_cache: Dict[
             str, Tuple[AccessToken, Any, bool]] = {}
 
@@ -172,11 +172,11 @@ class GraphApi:
         """Open a :class:`DeliveryWave` at the current clock instant.
 
         A wave covers a whole planned delivery round: per-entry
-        verdicts with the exact semantics (and, fault-free, the exact
-        byte stream) of :meth:`try_like_post` / :meth:`try_charge_like`,
-        but with token validity, app/proof/scope checks and rate-limit
-        window capacities memoized per wave, and rate-limit charges plus
-        request-log rows applied in bulk when the wave flushes."""
+        verdicts with the semantics of :meth:`execute`'s like
+        admission, but with token validity, app/proof/scope checks and
+        rate-limit window capacities memoized per wave, and rate-limit
+        charges plus request-log rows applied in bulk when the wave
+        flushes."""
         return DeliveryWave(self, post_id)
 
     def _resolve_asn(self, source_ip: Optional[str]) -> Optional[int]:
@@ -266,172 +266,6 @@ class GraphApi:
         raise ValueError(f"unhandled action: {action}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Charge-only path
-    # ------------------------------------------------------------------
-    def try_charge_like(self, access_token: str,
-                        source_ip: Optional[str] = None,
-                        appsecret_proof: Optional[str] = None
-                        ) -> Optional[str]:
-        """Run the full admission path for a like without the platform
-        write.
-
-        Models a network's bulk workload (likes on arbitrary member
-        posts): tokens, app-secret proofs, AS blocks and IP/token rate
-        limits are all enforced and charged exactly as in
-        :meth:`execute`, but no content is materialized and nothing is
-        appended to the request log.  Aggregate volume is tracked in
-        :attr:`charge_counters`.  Rejections come back as a code —
-        ``None`` on success, else ``"invalid_token"`` /
-        ``"app_secret"`` / ``"permission"`` / ``"blocked"`` /
-        ``"token_limit"`` / ``"ip_limit"``.
-
-        Campaigns serve this workload through
-        :meth:`DeliveryWave.charge`; this per-request method is its
-        verification oracle (``batch_requests_enabled = False``).
-        """
-        now = self.clock._now
-        inj = self.faults
-        if inj is not None:
-            fault = inj.decide("CHARGE_LIKE", access_token)
-            if fault == "transient":
-                return "transient"
-            if fault == "timeout":
-                return "timeout"
-            if fault == "rate_limit":
-                return "token_limit"
-            # "invalidate_token" falls through to the validity checks.
-        cached = self._charge_token_cache.get(access_token)
-        if cached is None:
-            token = self.tokens.peek(access_token)
-            if (token is None or token.invalidated
-                    or token.is_expired(now)):
-                return "invalid_token"
-            app = self.apps.get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._charge_token_cache[access_token] = (token, app, granted)
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return "invalid_token"
-        if app.security.require_app_secret and appsecret_proof != app.secret:
-            if not verify_appsecret_proof(app.secret, access_token,
-                                          appsecret_proof or ""):
-                return "app_secret"
-        if not granted:
-            return "permission"
-        policy = self.policy
-        if policy.blocked_asns_by_app:
-            asn = self._resolve_asn(source_ip)
-            if policy.is_as_blocked(app.app_id, asn):
-                return "blocked"
-        violated = self.enforcer.admit_like(token.token, source_ip, now)
-        if violated == "token":
-            return "token_limit"
-        if violated is not None:
-            return "ip_limit"
-        self.charge_counters["likes"] += 1
-        return None
-
-    def try_like_post(self, access_token: str, post_id: str,
-                      source_ip: Optional[str] = None,
-                      appsecret_proof: Optional[str] = None
-                      ) -> Optional[str]:
-        """Non-raising :meth:`like_post`.
-
-        Runs the exact :meth:`execute` pipeline for a ``LIKE_POST``
-        request — same enforcement order, same platform write, same log
-        row — but reports rejections as codes (the same vocabulary as
-        :meth:`try_charge_like`, plus ``"platform_error"``) instead of
-        exceptions, sparing the bulk delivery loops millions of raises.
-        """
-        now = self.clock._now
-        inj = self.faults
-        if inj is not None:
-            fault = inj.decide("LIKE_POST", access_token)
-            if fault is not None and fault != "invalidate_token":
-                # The request dies before authentication, so the log row
-                # carries no user/app attribution — like a real 5xx.
-                asn = self._resolve_asn(source_ip)
-                if fault == "transient":
-                    self.log.append_row(
-                        now, ApiAction.LIKE_POST, access_token, None,
-                        None, post_id, source_ip, asn,
-                        TransientApiError.code)
-                    return "transient"
-                if fault == "timeout":
-                    self.log.append_row(
-                        now, ApiAction.LIKE_POST, access_token, None,
-                        None, post_id, source_ip, asn, ApiTimeout.code)
-                    return "timeout"
-                self.log.append_row(
-                    now, ApiAction.LIKE_POST, access_token, None, None,
-                    post_id, source_ip, asn, RateLimitExceededError.code)
-                return "token_limit"
-        cached = self._charge_token_cache.get(access_token)
-        if cached is None:
-            token = self.tokens.peek(access_token)
-            if (token is not None and not token.invalidated
-                    and not token.is_expired(now)):
-                app = self.apps.get(token.app_id)
-                granted = token.grants(Permission.PUBLISH_ACTIONS)
-                self._charge_token_cache[access_token] = (
-                    token, app, granted)
-            else:
-                token = None
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                token = None
-        asn = self._resolve_asn(source_ip)
-        append_row = self.log.append_row
-        if token is None:
-            append_row(now, ApiAction.LIKE_POST, access_token, None, None,
-                       post_id, source_ip, asn, "invalid_token")
-            return "invalid_token"
-        user_id = token.user_id
-        app_id = token.app_id
-        if app.security.require_app_secret and appsecret_proof != app.secret:
-            if not verify_appsecret_proof(app.secret, access_token,
-                                          appsecret_proof or ""):
-                append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                           app_id, post_id, source_ip, asn,
-                           AppSecretRequiredError.code)
-                return "app_secret"
-        if not granted:
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       PermissionDeniedError.code)
-            return "permission"
-        policy = self.policy
-        if (policy.blocked_asns_by_app
-                and policy.is_as_blocked(app_id, asn)):
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       BlockedSourceError.code)
-            return "blocked"
-        violated = self.enforcer.admit_like(access_token, source_ip, now)
-        if violated is not None:
-            if violated == "token":
-                append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                           app_id, post_id, source_ip, asn,
-                           RateLimitExceededError.code)
-                return "token_limit"
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn,
-                       IpRateLimitError.code)
-            return "ip_limit"
-        try:
-            self.platform.like_post(user_id, post_id, via_app_id=app_id,
-                                    source_ip=source_ip)
-        except SocialNetworkError:
-            append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                       app_id, post_id, source_ip, asn, "platform_error")
-            return "platform_error"
-        append_row(now, ApiAction.LIKE_POST, access_token, user_id,
-                   app_id, post_id, source_ip, asn, "ok")
-        return None
-
-    # ------------------------------------------------------------------
     # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, int]:
@@ -505,19 +339,21 @@ class DeliveryWave:
 
     Every entry in a wave shares one clock instant, one application and
     (for platform writes) one target post, so the per-request pipeline
-    of :meth:`GraphApi.try_like_post` / :meth:`GraphApi.try_charge_like`
-    collapses: token/app/scope state is memoized per wave (re-validated
-    per entry only while a fault plan is live, which is the only way a
-    token can die mid-wave), rate-limit windows become memoized
+    of :meth:`GraphApi.execute` collapses: token/app/scope state is
+    memoized per wave (re-validated per entry, since a fault plan can
+    kill a token mid-wave), rate-limit windows become memoized
     per-(key, wave-timestamp) capacity transitions via
     :class:`~repro.graphapi.ratelimit.LikeWaveAdmitter`, and log rows /
     limiter hits / charge counters land in bulk at :meth:`finish`.
 
-    The per-entry verdict codes, bookkeeping order and RNG/fault-stream
-    consumption are byte-identical to the scalar methods, which remain
-    the verification oracle (``batch_requests_enabled = False``).
-    Callers must :meth:`finish` the wave before anything else reads the
-    request log or touches the like limiters.
+    Entries report rejections as verdict codes, not exceptions: once
+    §6.1 tightens the token budget a campaign rejects millions of
+    entries per simulated day.  The verdicts, bookkeeping order and
+    RNG/fault-stream consumption are byte-identical to one
+    :meth:`GraphApi.execute` admission per entry, which
+    ``tests/test_batch_equivalence.py`` pins against a per-request
+    reference.  Callers must :meth:`finish` the wave before anything
+    else reads the request log or touches the like limiters.
     """
 
     __slots__ = (
@@ -562,9 +398,9 @@ class DeliveryWave:
 
     # ------------------------------------------------------------------
     def _lookup(self, access_token: str):
-        """Resolve (token, app, granted) via the shared charge cache;
-        ``None`` when the token is dead.  Mirrors the scalar cache
-        discipline exactly (validity bits re-checked per call)."""
+        """Resolve (token, app, granted) via the shared token memo;
+        ``None`` when the token is dead (validity bits re-checked per
+        call)."""
         cached = self._token_cache.get(access_token)
         if cached is None:
             token = self._peek(access_token)
@@ -582,9 +418,19 @@ class DeliveryWave:
 
     def charge(self, access_token: str,
                source_ip: Optional[str] = None) -> Optional[str]:
-        """Wave analogue of :meth:`GraphApi.try_charge_like`: identical
-        enforcement, verdict codes and fault-stream consumption; the
-        limiter charge is pending until :meth:`finish`.
+        """Run a like's admission path without the platform write.
+
+        Models a network's bulk workload (likes on arbitrary member
+        posts): the fault plan's ``CHARGE_LIKE`` rules, token validity,
+        app-secret proof, scope, AS blocks and IP/token rate limits are
+        enforced and charged as in :meth:`GraphApi.execute`, but no
+        content is materialized and nothing is appended to the request
+        log; the limiter charge is pending until :meth:`finish`, and
+        admitted charges land in :attr:`GraphApi.charge_counters`.
+        Returns ``None`` when admitted, else ``"transient"`` /
+        ``"timeout"`` / ``"invalid_token"`` / ``"app_secret"`` /
+        ``"permission"`` / ``"blocked"`` / ``"token_limit"`` /
+        ``"ip_limit"``.
 
         This is the single hottest call in a campaign (millions of
         background charges per simulated day, most of them rejected once
@@ -678,9 +524,10 @@ class DeliveryWave:
 
     def like(self, access_token: str,
              source_ip: Optional[str]) -> Optional[str]:
-        """Wave analogue of :meth:`GraphApi.try_like_post` against the
-        wave's target post: same pipeline, same log-row vocabulary (the
-        rows are buffered until :meth:`finish`), same platform write."""
+        """:meth:`GraphApi.like_post` against the wave's target post:
+        the same pipeline, log row and platform write, with the row
+        buffered until :meth:`finish`.  Returns ``None`` when the like
+        landed, else :meth:`charge`'s codes plus ``"platform_error"``."""
         self._attempts += 1
         inj = self._inj
         push_token = self._tokens.append
@@ -692,6 +539,8 @@ class DeliveryWave:
         if inj is not None:
             fault = inj.decide("LIKE_POST", access_token)
             if fault is not None and fault != "invalidate_token":
+                # The request dies before authentication, so the row
+                # carries no user/app attribution, like a real 5xx.
                 push_token(access_token)
                 push_user(None)
                 push_app(None)

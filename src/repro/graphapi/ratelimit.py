@@ -301,12 +301,12 @@ class PolicyEnforcer:
         """Open a delivery wave at timestamp ``now``.
 
         The returned admitter answers per-entry like admissions with the
-        exact verdicts — in the exact order — that scalar
+        exact verdicts — in the exact order — that per-request
         :meth:`admit_like` calls at the same timestamp would produce,
         but computes each key's remaining window capacity once and then
         decrements in O(1); the recorded hits land in bulk at
-        :meth:`LikeWaveAdmitter.flush`.  The scalar path stays as the
-        verification oracle (see tests/test_batch_equivalence.py)."""
+        :meth:`LikeWaveAdmitter.flush`.  tests/test_batch_equivalence.py
+        pins the equality against an :meth:`admit_like` reference."""
         self._sync()
         return LikeWaveAdmitter(self._token_limiter, self._ip_day_limiter,
                                 self._ip_week_limiter, now)
@@ -374,13 +374,13 @@ class LikeWaveAdmitter:
     — and every further admission for that key is a dict probe plus a
     decrement.  Pending hits are appended to the deques in one bulk
     :meth:`flush`, which leaves limiter state byte-identical to the
-    equivalent scalar :meth:`PolicyEnforcer.admit_like` sequence
-    (including the saturation memos the scalar path would have set).
+    equivalent per-request :meth:`PolicyEnforcer.admit_like` sequence
+    (including the saturation memos that sequence would have set).
 
     Room encoding per key: ``n > 0`` admits remain; ``0`` the wave
-    consumed the window but no request has been rejected yet (the
-    scalar path would not have memoized saturation either); ``-1``
-    saturated and memoized.
+    consumed the window but no request has been rejected yet
+    (:meth:`PolicyEnforcer.admit_like` would not have memoized
+    saturation either); ``-1`` saturated and memoized.
     """
 
     __slots__ = (
@@ -446,9 +446,9 @@ class LikeWaveAdmitter:
                  pending: Dict[str, int]) -> None:
         """First rejection after this wave consumed the key's room.
 
-        Memoizes saturation exactly as the scalar path would at this
-        point — where the deque would already contain the wave's hits,
-        which here are still pending."""
+        Memoizes saturation exactly as :meth:`PolicyEnforcer.admit_like`
+        would at this point — where the deque would already contain the
+        wave's hits, which here are still pending."""
         events = events_memo[key]
         count = pending.get(key, 0)
         idx = len(events) + count - limiter.limit
@@ -461,7 +461,8 @@ class LikeWaveAdmitter:
     def admit(self, token: str, source_ip: Optional[str]) -> Optional[str]:
         """Per-entry verdict: ``None`` admitted, else ``"daily"`` /
         ``"weekly"`` / ``"token"``.  IP windows are charged even when
-        the token budget then rejects, matching the scalar order."""
+        the token budget then rejects, as in
+        :meth:`PolicyEnforcer.admit_like`."""
         if source_ip is not None and not self.token_only:
             day = self._day
             if day is not None:

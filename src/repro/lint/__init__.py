@@ -36,7 +36,6 @@ RL202  no cross-entity RNG stream sharing (duplicate literal stream
        names, handing ``self.rng`` to another entity, reaching into
        ``other.rng``)
 RL203  no raw ``%``/``//``/``/`` arithmetic on sim-clock readings
-       outside ``repro/sim/``
 RL301  collusion/honeypot code must not mutate the platform directly
 RL302  …nor launder the mutation through a helper outside graphapi
 RL402  *Delta dataclasses must pass and consume every field, and

@@ -21,9 +21,6 @@ from repro.lint.findings import Finding, Severity
 #: measure real wall clock by design.
 DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     "RL001": ("repro/perf/", "repro/telemetry/"),
-    # The sim package owns the clock representation: bucketing raw
-    # ticks is its job.
-    "RL203": ("repro/sim/",),
     # The factory is the one place a stream is born; streams are wound
     # there and by the sanitizer's proxies (the instrumentation itself).
     "RL601": ("repro/sim/rng.py",),

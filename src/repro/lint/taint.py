@@ -692,7 +692,7 @@ class SimClockArithmeticRule(Rule):
     description = "raw modulo/floor-div arithmetic on sim-clock values"
     hint = ("bucket through the clock API (clock.day(), "
             "clock.hour_of_day()) instead of re-deriving it from raw "
-            "ticks outside repro/sim/")
+            "ticks")
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
         spec = ClockTaintSpec()

@@ -4,7 +4,7 @@ The throughput guard matches a run to the reference entry of the same
 workload (seed, scale and day overrides) and fails below the floor; the
 build-scaling guard compares build accounts/s at the sweep's largest
 and smallest scales; the sanitizer guard holds the campaign-stage
-overhead to its budget.  ``main`` measures each scale once.  No study
+overhead, timed in interleaved untraced/traced pairs, to its budget.  ``main`` measures each scale once.  No study
 runs here.
 """
 
@@ -145,6 +145,34 @@ def test_sanitizer_guard_holds_the_overhead_budget():
         assert verdict.startswith("guard ok")
     with pytest.raises(GuardError, match="overhead regression"):
         bench_report.check_sanitizer_overhead(_sanitized(budget + 0.01))
+
+
+def test_sanitizer_guard_times_interleaved_pairs(monkeypatch):
+    """The host's speed swings twofold from pair to pair, far more than
+    the sanitizer's true 8% overhead.  Each pair times its untraced and
+    traced runs back to back, so the verdict is the true overhead,
+    where an untraced run at the first pair's host speed against a
+    traced run at the last pair's would read -24.4%."""
+    true_overhead = 0.08
+    slowdowns = (1.0, 2.0, 0.7)  # host speed during each pair
+    calls = []
+
+    def fake_measure(repeats, sanitize=False, **workload):
+        assert repeats == 1
+        slowdown = slowdowns[len(calls) // 2]
+        calls.append(sanitize)
+        seconds = 10.0 * slowdown * (1.0 + true_overhead * sanitize)
+        return {"total_seconds": seconds, "sanitizer_events": 7,
+                "stages": {"campaign": {"seconds": seconds}}}
+
+    monkeypatch.setattr(bench_report, "_measure", fake_measure)
+    section = bench_report._sanitizer_section(
+        1, scale=0.002, seed=2017, milking_days=6, campaign_days=20)
+    assert calls == [False, True] * 3
+    assert section["pair_overheads"]["campaign"] == [true_overhead] * 3
+    assert section["overhead"]["campaign"] == true_overhead
+    assert bench_report.check_sanitizer_overhead({"sanitizer": section}) == (
+        "guard ok: sanitizer campaign-stage overhead +8.0% (budget 10%)")
 
 
 def test_sanitizer_guard_needs_a_sanitizer_section():

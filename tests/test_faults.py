@@ -190,9 +190,12 @@ def test_fault_plan_delivers_in_one_wave():
     assert served > 0
 
 
-def test_try_like_post_returns_transient_code():
+def test_wave_like_returns_transient_code():
     world, post, token = _world_with_plan(transient_plan(1.0))
-    assert world.api.try_like_post(token, post.post_id) == "transient"
+    wave = world.api.delivery_wave(post.post_id)
+    assert wave.like(token, None) == "transient"
+    wave.finish()
+    assert world.api.log.all()[-1].outcome == "transient_error"
 
 
 # ----------------------------------------------------------------------

@@ -159,17 +159,23 @@ def test_request_log_records_outcomes(world, setup):
 def test_charge_like_counts_without_writing(world, setup):
     app, user, post, token = setup
     before = len(world.api.log)
-    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
+    wave = world.api.delivery_wave()
+    assert wave.charge(token, source_ip="10.60.0.1") is None
+    wave.finish()
     assert world.api.charge_counters["likes"] == 1
     assert len(world.api.log) == before  # not logged
     # Charges share the same token budget as real writes.  Changing the
-    # policy rebuilds the window, so the budget counts from here.
+    # policy rebuilds the window, so the budget counts from here; a
+    # wave reads the policy when it opens, so the next one opens after.
     world.policy.token_actions_per_day = 2
-    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
-    assert world.api.try_charge_like(token, source_ip="10.60.0.1") is None
-    assert (world.api.try_charge_like(token, source_ip="10.60.0.1")
-            == "token_limit")
+    wave = world.api.delivery_wave()
+    assert wave.charge(token, source_ip="10.60.0.1") is None
+    assert wave.charge(token, source_ip="10.60.0.1") is None
+    assert wave.charge(token, source_ip="10.60.0.1") == "token_limit"
+    wave.finish()
     assert world.api.charge_counters["likes"] == 3
+    with pytest.raises(RateLimitExceededError):
+        world.api.like_post(token, post.post_id, source_ip="10.60.0.1")
 
 
 def test_get_app_stats(world, setup):

@@ -41,6 +41,9 @@ def test_hmac_proof_accepted_by_api(world):
     proof = compute_appsecret_proof(app.secret, token)
     response = world.api.get_profile(token, appsecret_proof=proof)
     assert response.data["id"] == user.account_id
+    post = world.platform.create_post(user.account_id, "proof")
+    world.api.like_post(token, post.post_id, appsecret_proof=proof)
+    assert world.platform.get_post(post.post_id).like_count == 1
 
 
 def test_hmac_proof_bound_to_token(world):
@@ -57,14 +60,15 @@ def test_hmac_proof_bound_to_token(world):
         world.api.get_profile(bob_token, appsecret_proof=proof_for_alice)
 
 
-def test_charge_like_accepts_hmac_proof(world):
+def test_wave_charge_refused_by_strict_app(world):
+    """A wave carries no proof, so a strict app refuses its charges."""
     app = _strict_app(world)
     user = world.platform.register_account("U2")
     token = _token_for(world, app, user)
-    proof = compute_appsecret_proof(app.secret, token)
-    assert world.api.try_charge_like(token, source_ip="10.0.0.1",
-                                     appsecret_proof=proof) is None
-    assert world.api.charge_counters["likes"] == 1
+    wave = world.api.delivery_wave()
+    assert wave.charge(token, source_ip="10.0.0.1") == "app_secret"
+    wave.finish()
+    assert world.api.charge_counters["likes"] == 0
 
 
 def test_debug_token_reports_metadata(world):

@@ -104,9 +104,12 @@ def test_allowlisted_shells_are_the_only_wall_clock_users():
     # tracer's wall-time axis.
     assert wall_clock_paths == {"repro/perf/instrumentation.py",
                                 "repro/telemetry/tracing.py"}
-    # Every allowlisted prefix exempts at least one of them.
-    for prefix in DEFAULT_ALLOWLIST["RL001"]:
-        assert any(path.startswith(prefix) for path in wall_clock_paths), (
-            f"RL001 allowlist entry {prefix!r} exempts nothing")
+    # Every allowlisted prefix, of every rule, exempts at least one
+    # finding of that rule.
+    for rule, prefixes in DEFAULT_ALLOWLIST.items():
+        paths = {f.path for f in report.findings if f.rule == rule}
+        for prefix in prefixes:
+            assert any(path.startswith(prefix) for path in paths), (
+                f"{rule} allowlist entry {prefix!r} exempts nothing")
     # Nothing reads the environment, allowlisted or not.
     assert [f for f in report.findings if f.rule == "RL004"] == []

@@ -22,8 +22,9 @@ guard against it::
     python tools/bench_report.py --scale 0.001 --out /tmp/guard.json \
         --guard BENCH_PIPELINE.json
 
-A sweep of two or more scales also runs the build-scaling guard.  A
-failed guard exits with status 3.
+A sweep of two or more scales also runs the build-scaling guard, and
+``--sanitize`` the sanitizer-overhead guard over back-to-back
+untraced/traced pairs.  A failed guard exits with status 3.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ import json
 import multiprocessing
 import os
 import platform
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
@@ -191,30 +193,42 @@ def _measure(repeats: int, **workload: Any) -> Dict[str, Any]:
     return best
 
 
-def _sanitizer_section(current: Dict[str, Any], repeats: int,
-                       **workload: Any) -> Dict[str, Any]:
-    """The document's ``sanitizer`` section: the ``current`` workload
-    re-run with the reprosan trace recording, plus each stage's
-    wall-clock overhead fraction against the untraced run."""
-    traced = _measure(repeats, sanitize=True, **workload)
-    overhead = {}
-    for name, stage in traced["stages"].items():
-        base = current["stages"].get(name, {}).get("seconds", 0.0)
-        if base > 0:
-            overhead[name] = round(stage["seconds"] / base - 1.0, 4)
-    return {"run": traced, "overhead": overhead}
+def _sanitizer_section(repeats: int, **workload: Any) -> Dict[str, Any]:
+    """The document's ``sanitizer`` section.
+
+    Runs ``max(3, repeats)`` back-to-back pairs of the workload, one
+    untraced run and then one with the reprosan trace recording, and
+    records each stage's per-pair traced/untraced time ratios
+    (``pair_overheads``) and their median (``overhead``).  The two runs
+    of a pair are timed seconds apart, so host drift from pair to pair
+    cancels in each ratio.  ``run`` is the fastest traced run.
+    """
+    pairs = []
+    for _ in range(max(3, repeats)):
+        untraced = _measure(1, **workload)
+        pairs.append((untraced, _measure(1, sanitize=True, **workload)))
+    pair_overheads: Dict[str, List[float]] = {}
+    for untraced, traced in pairs:
+        for name, stage in traced["stages"].items():
+            base = untraced["stages"].get(name, {}).get("seconds", 0.0)
+            if base > 0:
+                pair_overheads.setdefault(name, []).append(
+                    round(stage["seconds"] / base - 1, 4))
+    traced_runs = [traced for _, traced in pairs]
+    return {"run": min(traced_runs, key=lambda run: run["total_seconds"]),
+            "pairs": len(pairs), "pair_overheads": pair_overheads,
+            "overhead": {name: round(statistics.median(ratios), 4)
+                         for name, ratios in pair_overheads.items()}}
 
 
 def check_sanitizer_overhead(document: Dict[str, Any]) -> str:
     """Guard the sanitizer's campaign-stage overhead.
 
-    Raises :class:`GuardError` when the traced campaign stage ran more
-    than :data:`SANITIZER_BUDGET` slower than the untraced one, or when
-    the document has no ``sanitizer`` section.  The check runs only
-    under ``--sanitize`` and CI does not run it.  The traced and
-    untraced runs are timed minutes apart, so host drift swamps the
-    overhead: on a 2-core VM, two scale-0.01 invocations read -15.2%
-    (the committed ``BENCH_PIPELINE.json``) and +14.3%.
+    Raises :class:`GuardError` when the campaign stage's median
+    per-pair overhead (see :func:`_sanitizer_section`) exceeds
+    :data:`SANITIZER_BUDGET`, or when the document has no ``sanitizer``
+    section.  The check runs only under ``--sanitize`` and CI does not
+    run it.
     """
     section = document.get("sanitizer")
     if not section:
@@ -348,7 +362,8 @@ def render(document: Dict[str, Any]) -> str:
     if sanitizer:
         run = sanitizer["run"]
         lines.append(f"sanitized run ({run['total_seconds']:.2f}s total, "
-                     f"{run['sanitizer_events']:,} trace events):")
+                     f"{run['sanitizer_events']:,} trace events; overhead "
+                     f"is the median of {sanitizer['pairs']} pairs):")
         for name, fraction in sanitizer["overhead"].items():
             seconds = run["stages"][name]["seconds"]
             lines.append(f"  {name:<12} {seconds:>8.2f}s  "
@@ -395,10 +410,12 @@ def main(argv=None) -> int:
                              f"on a drop of more than "
                              f"{GUARD_TOLERANCE:.0%}%")
     parser.add_argument("--sanitize", action="store_true",
-                        help="also benchmark the workload with the "
-                             "reprosan shadow trace recording, record a "
-                             "'sanitizer' overhead section, and exit 3 "
-                             "if the campaign stage's overhead exceeds "
+                        help="also time max(3, REPEATS) back-to-back "
+                             "pairs of the workload, untraced and with "
+                             "the reprosan shadow trace recording; "
+                             "record a 'sanitizer' section with each "
+                             "stage's median per-pair overhead, and exit "
+                             "3 if the campaign stage's overhead exceeds "
                              f"{SANITIZER_BUDGET:.0%}%")
     parser.add_argument("--out", type=str,
                         default=os.path.join(REPO_ROOT,
@@ -421,8 +438,7 @@ def main(argv=None) -> int:
             for scale in scales]
     if args.sanitize:
         document["sanitizer"] = _sanitizer_section(
-            document["current"], args.repeats, scale=args.scale,
-            **workload)
+            args.repeats, scale=args.scale, **workload)
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
