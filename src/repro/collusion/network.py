@@ -433,10 +433,6 @@ class CollusionNetwork:
         size = min(self.profile.hot_set_size, len(self._member_list))
         self._hot_members = self.rng.sample(self._member_list, size)
 
-    def _note_use(self, member: str) -> None:
-        """Hook kept for symmetry; the sticky hot set needs no per-use
-        bookkeeping."""
-
     def _make_ip_weights(self) -> List[float]:
         n = len(self.ip_pool.addresses)
         if self.profile.ip_usage == "uniform":
@@ -649,7 +645,6 @@ class CollusionNetwork:
                 else:
                     report.other_failures += 1
                 continue
-            self._note_use(member)
             used.add(member)
             report.delivered += 1
 
@@ -695,7 +690,6 @@ class CollusionNetwork:
             except (GraphApiError, SocialNetworkError):
                 report.other_failures += 1
                 continue
-            self._note_use(member)
             used.add(member)
             report.delivered += 1
         self.total_comments_delivered += report.delivered
@@ -773,7 +767,6 @@ class CollusionNetwork:
                 if page_id is not None:
                     self.world.api.like_page(token, page_id, source_ip=ip)
                     liked_pages.add(page_id)
-                    self._note_use(member)
                     return True
                 # fall through to a requester post
             target_post = self._next_requester_post()
@@ -783,7 +776,6 @@ class CollusionNetwork:
             return False
         except (GraphApiError, SocialNetworkError):
             return False
-        self._note_use(member)
         return True
 
     def _promote_owner(self, member: str, token: str, ip: str) -> bool:
@@ -800,7 +792,6 @@ class CollusionNetwork:
             return False
         except (GraphApiError, SocialNetworkError):
             return False  # duplicate etc.: fall back to normal targets
-        self._note_use(member)
         return True
 
     def _page_target_share(self) -> float:

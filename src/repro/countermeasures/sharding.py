@@ -411,8 +411,7 @@ class ShardSupervisor:
                                            request_posts,
                                            crash_after=crash_after)
                 with os.fdopen(write_fd, "wb") as sink:
-                    pickle.dump(delta, sink,  # reprolint: disable=RL402 — the inherited fd pipe is the delta's one sanctioned channel home
-                                protocol=pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(delta, sink, protocol=pickle.HIGHEST_PROTOCOL)
                 status = 0
             finally:
                 os._exit(status)

@@ -9,9 +9,8 @@ from ordered sources — and, per the paper's own findings, access-token
 values must never escape into telemetry.  ``reprolint`` turns those
 conventions into a static gate built on a project graph (symbol table,
 import/call graph) with function summaries computed to interprocedural
-convergence (SCC-ordered fixpoint over the call graph, including the
-module-level names each function writes) and a flow-sensitive taint
-engine.
+convergence (SCC-ordered fixpoint over the call graph) and a
+flow-sensitive taint engine.
 
 Rules
 -----
@@ -35,20 +34,14 @@ RL103  token taint: token values must not be persisted to checkpoints
 RL202  no cross-entity RNG stream sharing (duplicate literal stream
        names, handing ``self.rng`` to another entity, reaching into
        ``other.rng``)
-RL203  no raw ``%``/``//``/``/`` arithmetic on sim-clock readings
 RL301  collusion/honeypot code must not mutate the platform directly
 RL302  …nor launder the mutation through a helper outside graphapi
-RL402  *Delta dataclasses must pass and consume every field, and
-       forked shard children must not write parent-visible state
-       outside the delta
 RL501  metric label values must be bounded (literals, names, attribute
        chains or ``redact_token(...)``), never f-strings or calls
 RL601  no RNG construction outside the factory ``repro/sim/rng.py``:
        ``random.Random(...)`` anywhere, and at import time also
        ``numpy.random`` generators, ``RngFactory(...)`` and
        ``.stream``/``.fresh``/``.child`` calls
-RL602  no ``getstate()``/``setstate()`` outside the factory and the
-       sanitizer
 RL604  no access to factory/proxy internals (``_streams``,
        ``_wrapped``, ``_raw``) outside the factory and the sanitizer,
        directly or through a helper

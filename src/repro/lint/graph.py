@@ -1,6 +1,6 @@
 """Project-level symbol table, import graph and call graph.
 
-The v2 rule families (token taint, RNG/clock discipline, API contract)
+The v2 rule families (token taint, RNG discipline, API contract)
 need to see past a single module: which names are classes, which
 classes are exceptions, which function a call site resolves to, and
 what that function does with its parameters (``repro.lint.summaries``).

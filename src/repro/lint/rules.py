@@ -21,10 +21,8 @@ from repro.lint.findings import Finding, Severity
 #: measure real wall clock by design.
 DEFAULT_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     "RL001": ("repro/perf/", "repro/telemetry/"),
-    # The factory is the one place a stream is born; streams are wound
-    # there and by the sanitizer's proxies (the instrumentation itself).
+    # The factory is the one place a stream is born.
     "RL601": ("repro/sim/rng.py",),
-    "RL602": ("repro/sim/rng.py", "repro/sanitizer/"),
 }
 
 
@@ -501,13 +499,11 @@ def default_rules() -> List[Rule]:
         StreamSharingRule,
     )
     from repro.lint.sanitizer_rules import sanitizer_rules
-    from repro.lint.stateflow import ShardDeltaRule
-    from repro.lint.taint import SimClockArithmeticRule, TokenTaintRule
+    from repro.lint.taint import TokenTaintRule
     from repro.lint.telemetry_rules import MetricLabelRule
 
     return [WallClockRule(), GlobalRandomRule(), OrderingRule(),
             EntropyRule(), ExceptionRule(),
-            TokenTaintRule(), StreamSharingRule(),
-            SimClockArithmeticRule(), ApiContractRule(),
-            IndirectMutationRule(), ShardDeltaRule(), MetricLabelRule(),
+            TokenTaintRule(), StreamSharingRule(), ApiContractRule(),
+            IndirectMutationRule(), MetricLabelRule(),
             *sanitizer_rules()]

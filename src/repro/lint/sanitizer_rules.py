@@ -2,11 +2,10 @@
 
 The reprosan shadow trace (:mod:`repro.sanitizer`) only bisects
 divergences it *saw*: a draw from a raw ``random.Random`` constructed
-outside the instrumented factory, or a stream wound by a stray
-``setstate``, is a blind spot that reappears as an unexplainable
-end-of-run digest mismatch.  (A shard delta that drops its captured
-``trace`` is RL402's unconsumed-field finding.)  These rules keep the
-hook surface airtight statically:
+outside the instrumented factory, or from a generator pulled out of
+the factory's internals, is a blind spot that reappears as an
+unexplainable end-of-run digest mismatch.  These rules keep the hook
+surface airtight statically:
 
 * **RL601** — RNG construction outside the factory
   (``repro/sim/rng.py``).  Every campaign stream must come from
@@ -19,10 +18,6 @@ hook surface airtight statically:
   state depends on import order.  Detector-side fixed-seed samplers
   that never touch the campaign surface carry a pragma with that
   justification.
-* **RL602** — ``getstate()``/``setstate()`` outside the
-  factory/sanitizer shells.  Winding a generator behind the trace's
-  back desynchronises the shadow stream from the real one; state
-  transfer is ``RngFactory.export_state``/``install_state``'s job.
 * **RL604** — hook laundering.  Code outside the shells must not
   reach into the factory/proxy internals (``._streams``,
   ``._wrapped``, ``._raw``, or ``getattr`` with those names) — and,
@@ -140,36 +135,6 @@ class RawStreamConstructionRule(Rule):
                     "factory; its draws bypass the sanitizer trace")
 
 
-class StreamStateTransferRule(Rule):
-    """RL602 — generator state moves only through the factory."""
-
-    rule_id = "RL602"
-    severity = Severity.ERROR
-    description = ("getstate/setstate outside the factory/sanitizer "
-                   "shells")
-    hint = ("transfer stream state with RngFactory.export_state()/"
-            "install_state(); winding a generator directly "
-            "desynchronises the shadow trace")
-
-    def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("getstate", "setstate")):
-                continue
-            # ``random.getstate()`` (module-global state) is RL002's
-            # finding; this rule owns per-generator transfer.
-            if ctx.resolve(func) in ("random.getstate",
-                                     "random.setstate"):
-                continue
-            yield ctx.finding(
-                self, node,
-                f".{func.attr}() outside the factory shell moves "
-                "generator state behind the sanitizer's back")
-
-
 class HookLaunderingRule(ProjectRule):
     """RL604 — hook internals stay inside the shells, even one hop out."""
 
@@ -270,5 +235,4 @@ class HookLaunderingRule(ProjectRule):
 
 
 def sanitizer_rules() -> List[Rule]:
-    return [RawStreamConstructionRule(), StreamStateTransferRule(),
-            HookLaunderingRule()]
+    return [RawStreamConstructionRule(), HookLaunderingRule()]

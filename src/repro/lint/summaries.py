@@ -18,8 +18,6 @@ rules need:
   (``*.platform.create_post(...)``), which RL302 uses to flag
   collusion/honeypot code that launders a platform write through a
   helper outside the Graph API.
-* ``global_writes`` — module-level names the function writes, which
-  RL402 uses to keep forked shard children from mutating module state.
 
 Summaries are computed to interprocedural convergence by
 :mod:`repro.lint.fixpoint` (SCC-ordered, callees first), so every fact
@@ -67,7 +65,7 @@ def platform_mutation_calls(node: ast.AST) -> Iterator[ast.Call]:
 
 @dataclass
 class FunctionSummary:
-    """What one function does with its parameters and its state."""
+    """What one function does with its parameters and to the platform."""
 
     qname: str
     params: List[str]
@@ -77,7 +75,5 @@ class FunctionSummary:
     taint_through: Set[str] = field(default_factory=set)
     #: platform mutation methods invoked in the body or any callee
     mutates_platform: Set[str] = field(default_factory=set)
-    #: module-level names written, directly or via any callee
-    global_writes: Set[str] = field(default_factory=set)
     #: return value carries taint sourced inside the body
     returns_taint: bool = False

@@ -102,35 +102,9 @@ def terminal_base(node: ast.AST) -> Optional[str]:
     return chain[-1] if chain else None
 
 
-class TaintSpec:
-    """What a taint analysis considers source, sanitizer and sink."""
-
-    #: Propagate through BinOp (+, %) — string building keeps taint.
-    propagate_binop = True
-    #: Propagate through Subscript loads (slices of a token leak it).
-    propagate_subscript = True
-
-    def param_source(self, name: str) -> bool:
-        return False
-
-    def expr_source(self, node: ast.AST, ctx: ModuleContext) -> bool:
-        return False
-
-    def is_sanitizer(self, call: ast.Call, ctx: ModuleContext) -> bool:
-        return False
-
-    def call_sink(self, call: ast.Call,
-                  ctx: ModuleContext) -> Optional[str]:
-        """A sink kind label for this call, or None."""
-        return None
-
-    def binop_sink(self, node: ast.BinOp,
-                   ctx: ModuleContext) -> Optional[str]:
-        return None
-
-
-class TokenTaintSpec(TaintSpec):
-    """Sources/sinks for the RL1xx token-hygiene family."""
+class TokenTaintSpec:
+    """Sources, sanitizers and sinks for the RL1xx token-hygiene
+    family."""
 
     def param_source(self, name: str) -> bool:
         return name in TOKEN_PARAM_NAMES
@@ -211,36 +185,6 @@ class TokenTaintSpec(TaintSpec):
         return None
 
 
-class ClockTaintSpec(TaintSpec):
-    """Sources/sinks for RL203 (raw sim-clock bucket arithmetic).
-
-    Clock taint deliberately does *not* survive arithmetic or slicing:
-    ``end - start`` is a duration, not a clock reading, and duration
-    math is fine anywhere.  Only ``%`` / ``//`` / ``/`` applied to a
-    value read straight off the clock is flagged.
-    """
-
-    propagate_binop = False
-    propagate_subscript = False
-
-    def expr_source(self, node: ast.AST, ctx: ModuleContext) -> bool:
-        if isinstance(node, ast.Call):
-            func = node.func
-            return (isinstance(func, ast.Attribute)
-                    and func.attr == "now"
-                    and terminal_base(func.value) in ("clock", "_clock"))
-        if isinstance(node, ast.Attribute):
-            return (node.attr == "_now"
-                    and terminal_base(node.value) in ("clock", "_clock"))
-        return False
-
-    def binop_sink(self, node: ast.BinOp,
-                   ctx: ModuleContext) -> Optional[str]:
-        if isinstance(node.op, (ast.Mod, ast.FloorDiv, ast.Div)):
-            return "clock"
-        return None
-
-
 class TaintWalker:
     """Forward taint propagation over one function body.
 
@@ -253,7 +197,7 @@ class TaintWalker:
 
     GENERIC = "<source>"
 
-    def __init__(self, ctx: ModuleContext, spec: TaintSpec,
+    def __init__(self, ctx: ModuleContext, spec: TokenTaintSpec,
                  initial: Optional[Dict[str, Set[str]]] = None) -> None:
         self.ctx = ctx
         self.spec = spec
@@ -280,8 +224,7 @@ class TaintWalker:
     def origins(self, node: Optional[ast.AST]) -> Set[str]:
         if node is None:
             return set()
-        spec = self.spec
-        if spec.expr_source(node, self.ctx):
+        if self.spec.expr_source(node, self.ctx):
             out = set()
             if isinstance(node, ast.Name):
                 out |= self.tainted.get(node.id, set())
@@ -289,20 +232,11 @@ class TaintWalker:
             return out
         if isinstance(node, ast.Name):
             return set(self.tainted.get(node.id, ()))
-        if isinstance(node, ast.Subscript):
-            if spec.propagate_subscript:
-                return self.origins(node.value)
-            return set()
-        if isinstance(node, ast.Starred):
-            return self.origins(node.value)
-        if isinstance(node, ast.Await):
-            return self.origins(node.value)
-        if isinstance(node, ast.NamedExpr):
+        if isinstance(node, (ast.Subscript, ast.Starred, ast.Await,
+                             ast.NamedExpr)):
             return self.origins(node.value)
         if isinstance(node, ast.BinOp):
-            if spec.propagate_binop:
-                return self.origins(node.left) | self.origins(node.right)
-            return set()
+            return self.origins(node.left) | self.origins(node.right)
         if isinstance(node, ast.JoinedStr):
             out: Set[str] = set()
             for value in node.values:
@@ -531,8 +465,6 @@ class TaintWalker:
             for keyword in node.keywords:
                 self._visit_expr(keyword.value)
             return
-        if isinstance(node, ast.BinOp):
-            self._check_binop(node)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             return
@@ -565,16 +497,6 @@ class TaintWalker:
                         self.sink_hits.append(
                             (call, f"{flow_kind}:via", origins))
 
-    def _check_binop(self, node: ast.BinOp) -> None:
-        if not self._record:
-            return
-        kind = self.spec.binop_sink(node, self.ctx)
-        if kind is None:
-            return
-        origins = self.origins(node.left) | self.origins(node.right)
-        if origins:
-            self.sink_hits.append((node, kind, origins))
-
 
 # ----------------------------------------------------------------------
 # Running the walker over a module
@@ -593,9 +515,10 @@ def module_toplevel(tree: ast.Module) -> List[ast.stmt]:
                                      ast.AsyncFunctionDef, ast.ClassDef))]
 
 
-def analyse_module(ctx: ModuleContext, spec: TaintSpec
+def analyse_module(ctx: ModuleContext
                    ) -> List[Tuple[ast.AST, str, Set[str]]]:
     """Sink hits for every function in a module plus its top level."""
+    spec = TokenTaintSpec()
     hits: List[Tuple[ast.AST, str, Set[str]]] = []
     for node in iter_function_defs(ctx.tree):
         initial: Dict[str, Set[str]] = {}
@@ -656,9 +579,8 @@ class TokenTaintRule(Rule):
                 for rule_id, description, _hint in _SINK_RULES.values()}
 
     def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        spec = TokenTaintSpec()
         seen: Set[Tuple[int, int, str]] = set()
-        for node, kind, _origins in analyse_module(ctx, spec):
+        for node, kind, _origins in analyse_module(ctx):
             via = kind.endswith(":via")
             base_kind = kind.split(":", 1)[0]
             rule_id, message, hint = _SINK_RULES[base_kind]
@@ -675,33 +597,3 @@ class TokenTaintRule(Rule):
                 rule=rule_id, severity=Severity.ERROR,
                 message=message, hint=hint,
                 snippet=ctx.snippet(lineno))
-
-
-class SimClockArithmeticRule(Rule):
-    """RL203 — raw bucket arithmetic on sim-clock readings.
-
-    ``now % DAY`` / ``now // DAY`` re-derives the clock's internal
-    representation; when the epoch or tick unit changes, every such
-    site silently shifts.  The accessors (``clock.day()``,
-    ``clock.hour_of_day()``) are the stable interface.  Duration math
-    (``end - start``) is untouched — clock taint dies at arithmetic.
-    """
-
-    rule_id = "RL203"
-    severity = Severity.WARNING
-    description = "raw modulo/floor-div arithmetic on sim-clock values"
-    hint = ("bucket through the clock API (clock.day(), "
-            "clock.hour_of_day()) instead of re-deriving it from raw "
-            "ticks")
-
-    def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        spec = ClockTaintSpec()
-        for node, _kind, _origins in analyse_module(ctx, spec):
-            lineno = getattr(node, "lineno", 1)
-            yield Finding(
-                path=ctx.path, line=lineno,
-                col=getattr(node, "col_offset", 0) + 1,
-                rule=self.rule_id, severity=self.severity,
-                message="raw arithmetic on a sim-clock reading "
-                        "re-derives the clock's representation",
-                hint=self.hint, snippet=ctx.snippet(lineno))

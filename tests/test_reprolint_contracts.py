@@ -1,4 +1,5 @@
-"""RL2xx RNG/clock-discipline and RL3xx API-contract rule tests."""
+"""RL601 import-time streams, RL202 stream sharing and RL3xx API-contract
+rule tests."""
 
 import textwrap
 from pathlib import Path
@@ -101,36 +102,6 @@ def test_rl202_allows_self_and_world_streams():
             def draw(self):
                 return self.rng.random()
     """) == []
-
-
-# ----------------------------------------------------------------------
-# RL203 — raw clock arithmetic
-# ----------------------------------------------------------------------
-def test_rl203_fixture_pair():
-    assert fixture_rules("rl203_clock_arith.py") == ["RL203"]
-    assert fixture_rules("rl203_clock_api.py", kind="clean") == []
-
-
-def test_rl203_duration_math_is_legal():
-    assert rules_of("""
-        def window(clock, started_at, DAY):
-            elapsed = clock.now() - started_at
-            return elapsed // DAY
-    """) == []
-
-
-def test_rl203_applies_inside_sim():
-    """RL203 has no allowlist entry: the sim package buckets through
-    the clock API like every other package."""
-    source = """
-        DAY = 86_400
-
-        def day_of(clock):
-            return clock.now() // DAY
-    """
-    for path in ("repro/sim/clock.py", "repro/experiments/t.py"):
-        assert rules_of(source, path=path,
-                        allowlist=DEFAULT_ALLOWLIST) == ["RL203"]
 
 
 # ----------------------------------------------------------------------

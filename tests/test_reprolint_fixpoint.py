@@ -1,5 +1,5 @@
 """Fixpoint engine: deep-chain taint the one-level pass misses, SCC
-convergence, and the transitive module-global writes RL402 reads."""
+convergence, and return taint through an implicit dataclass ctor."""
 
 import textwrap
 from pathlib import Path
@@ -84,21 +84,8 @@ def test_self_recursion_terminates():
 
 
 # ----------------------------------------------------------------------
-# Module-global writes
+# Return taint
 # ----------------------------------------------------------------------
-def test_global_writes_are_transitive():
-    graph = graph_of("""
-        REGISTRY = {}
-
-        def _note(key):
-            REGISTRY[key] = True
-
-        def outer(key):
-            _note(key)
-    """)
-    assert "REGISTRY" in summary(graph, ".outer").global_writes
-
-
 def test_returns_taint_flows_through_implicit_dataclass_ctor():
     # The recovery.py shape: a token-table export is wrapped in a
     # record dataclass (no explicit __init__) and only then persisted.

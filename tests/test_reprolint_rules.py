@@ -117,6 +117,17 @@ def test_rl002_flags_numpy_global_state():
     """) == []
 
 
+def test_rl002_owns_module_global_getstate():
+    # ``random.getstate()`` reads the shared global generator: RL002's
+    # finding, and no other rule's.
+    assert rules_of("""
+        import random
+
+        def f():
+            return random.getstate()
+    """) == ["RL002"]
+
+
 # ----------------------------------------------------------------------
 # RL003 — nondeterministic ordering
 # ----------------------------------------------------------------------

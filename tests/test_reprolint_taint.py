@@ -4,10 +4,12 @@ mechanics (sources, sinks, sanitizers, summaries, RL000)."""
 import textwrap
 from pathlib import Path
 
+import repro
 from repro.lint import lint_source
 
 DATA = (Path(__file__).resolve().parent / "data" / "reprolint" /
         "taint")
+PACKAGE = Path(repro.__file__).resolve().parent
 
 
 def fixture_rules(name, kind="violations",
@@ -177,6 +179,27 @@ def test_clean_helper_produces_no_flow():
         def caller(access_token, log):
             log.warning("len %d", fmt(access_token))
     """) == []
+
+
+# ----------------------------------------------------------------------
+# Load-bearing gate over the real tree
+# ----------------------------------------------------------------------
+def test_recovery_checkpoint_pragma_is_load_bearing():
+    # Checkpoint capture reaches the token table through the parts
+    # table (part.export_state()), which the taint engine does not
+    # resolve, so recovery.py needs no RL103 pragma.  The checkpoint
+    # store is still a proven sink: saving the token store's export
+    # directly is flagged.
+    source = (PACKAGE / "countermeasures" / "recovery.py").read_text(
+        encoding="utf-8")
+    path = "repro/countermeasures/recovery.py"
+    assert lint_source(source, path=path) == []
+    anchor = '        self.store.save(f"day-{campaign_day:05d}", checkpoint)\n'
+    assert source.count(anchor) == 1
+    grafted = source.replace(anchor, anchor + (
+        '        self.store.save("x", campaign.world.tokens.export_state())\n'))
+    rules = [f.rule for f in lint_source(grafted, path=path)]
+    assert rules == ["RL103"]
 
 
 # ----------------------------------------------------------------------

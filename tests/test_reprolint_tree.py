@@ -32,11 +32,11 @@ def test_default_rules_cover_all_shipped_families():
 
     rules = default_rules()
     ids = {rule.rule_id for rule in rules}
-    assert {"RL001", "RL002", "RL003", "RL004", "RL005",
-            "RL101", "RL202", "RL203",
-            "RL301", "RL302",
-            "RL402",
-            "RL601", "RL602", "RL604"} <= ids
+    assert ids == {"RL001", "RL002", "RL003", "RL004", "RL005",
+                   "RL101", "RL202",
+                   "RL301", "RL302",
+                   "RL501",
+                   "RL601", "RL604"}
     assert any(isinstance(rule, ProjectRule) for rule in rules)
 
 

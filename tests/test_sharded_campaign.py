@@ -13,6 +13,7 @@ are keyed per subject, so a faulted plan shards and stays identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -25,7 +26,7 @@ from repro.countermeasures.campaign import (
     CampaignConfig,
     CountermeasureCampaign,
 )
-from repro.countermeasures.sharding import plan_shards
+from repro.countermeasures.sharding import ShardSupervisor, plan_shards
 from repro.faults.plan import FaultPlan, FaultRule
 
 #: The only app-distinct (hence token- and window-disjoint) pair among
@@ -242,3 +243,26 @@ def test_sigkilled_shard_child_is_quarantined_and_reexecuted():
     assert serial[2].shard_failures == []
     assert sharded[0].faults.counters.get("child_crash", 0) > 0
     _assert_byte_identical(serial, sharded)
+
+
+def test_a_delta_for_another_component_is_quarantined(serial_run,
+                                                     monkeypatch):
+    """A delta naming another component (a stale or crossed pipe
+    payload) must be quarantined and its component re-executed in the
+    parent, never merged as foreign state."""
+    run_component = ShardSupervisor.run_component
+
+    def crossed(self, campaign, component, *args, **kwargs):
+        delta = run_component(self, campaign, component, *args, **kwargs)
+        if delta is not None and component == ("fb-autolikers.com",):
+            delta = dataclasses.replace(delta,
+                                        domains=("elsewhere.example",))
+        return delta
+
+    monkeypatch.setattr(ShardSupervisor, "run_component", crossed)
+    sharded = _run(shards=2)
+    failures = sharded[2].shard_failures
+    assert failures
+    assert all("shipped a delta for component ('elsewhere.example',)"
+               in failure for failure in failures)
+    _assert_byte_identical(serial_run, sharded)
