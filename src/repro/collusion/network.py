@@ -117,12 +117,17 @@ class MemberDirectory:
         self._accounts.append(account.account_id)
         return account.account_id
 
-    def export_state(self) -> dict:
-        return {"accounts": list(self._accounts), "counter": self._counter}
+    # The directory only appends, so a checkpoint carries the accounts
+    # recruited since the previous day's mark.
+    def mark(self) -> int:
+        return len(self._accounts)
 
-    def install_state(self, state: dict) -> None:
-        self._accounts = list(state["accounts"])
-        self._counter = state["counter"]
+    def export_delta(self, mark: int) -> dict:
+        return {"accounts": self._accounts[mark:], "counter": self._counter}
+
+    def apply_delta(self, delta: dict) -> None:
+        self._accounts.extend(delta["accounts"])
+        self._counter = delta["counter"]
 
 
 class CollusionNetwork:

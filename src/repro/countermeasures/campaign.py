@@ -271,16 +271,21 @@ class CountermeasureCampaign:
         """Every stateful subsystem a campaign day mutates, by name, in
         install order.
 
-        Each part has ``export_state()``/``install_state(state)``; the
-        additive ones (``api``, ``faults``, ``telemetry``) also have
+        The parts whose state grows with the campaign (``platform``,
+        ``tokens``, ``directory``, ``sanitizer``) have ``mark()``,
+        ``export_delta(mark)`` and ``apply_delta(delta)``, and a day
+        checkpoint carries their growth since the previous day's
+        marks.  Every other part has ``export_state()``/
+        ``install_state(state)`` and is checkpointed whole; of those,
+        the additive ones (``api``, ``faults``, ``telemetry``) also have
         ``export_delta(base)``/``apply_delta(delta)``, where ``base`` is
-        an earlier ``export_state()`` of the same part.  A day
-        checkpoint carries every part's state; a shard child ships its
-        component's states plus the additive parts' deltas.  Disabled
-        planes and an absent fault injector are left out.
+        an earlier ``export_state()`` of the same part, and a shard
+        child ships their deltas next to its component's states.
+        Disabled planes and an absent fault injector are left out.
         """
         world = self.world
         parts: Dict[str, object] = {
+            "platform": world.platform,
             "ids": world.ids,
             "rng": world.rng,
             "tokens": world.tokens,

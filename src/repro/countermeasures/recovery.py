@@ -6,35 +6,41 @@ format):
 
 * every request-log row is journaled to a hash-chained, day-segmented
   WAL as it is appended (fsync at each day seal), and
-* at every completed campaign day a :class:`CampaignCheckpoint` — the
-  full set of state the day's events mutated — is written atomically
-  next to the journal.
+* at every completed campaign day a :class:`CampaignCheckpoint` — one
+  link of a chain — is written atomically next to the journal.  Link
+  ``k`` carries each part whose state grows with the campaign (the
+  platform, the token store, the member directory and the shadow
+  trace) as a delta against link ``k-1``'s marks, and every other
+  state part whole, so a day's checkpoint costs one day.
 
 Resume protocol.  The campaign world is *rebuilt* deterministically by
 the caller (same seed, same build + pre-campaign sequence), never
-unpickled whole: a checkpoint carries only what campaign days mutated.
+unpickled whole: the chain carries only what campaign days mutated.
 On top of the rebuilt base world, ``prepare`` then
 
 1. opens the journal, truncating any torn tail to the last intact
    record (never silently replayed — the recovery report says exactly
    what was dropped);
-2. picks the newest checkpoint the sealed journal still covers
+2. picks the newest day ``k`` whose links ``1..k`` all load and whose
+   link ``k`` the sealed journal still covers
    (``checkpoint.journal_records`` must equal the journal's record
    count through that day — a checkpoint that outran a chopped journal
-   is skipped), and raises :class:`RecoveryError` if its part names
-   differ from the campaign's ``state_parts()`` (telemetry, the
-   sanitizer or a fault plan switched on or off since it was written);
+   is not used, and a torn middle link ends the chain there), and
+   raises :class:`RecoveryError` if a link's part names differ from
+   the campaign's ``state_parts()`` (telemetry, the sanitizer or a
+   fault plan switched on or off since it was written);
 3. replays the journal's rows back into the request log, byte for
    byte;
-4. installs the checkpoint overlay: the clock, the platform's growth
-   since the campaign-start mark (new accounts/posts/pages, engagement
-   suffixes on pre-existing objects, activity-log suffixes), then every
-   entry of :meth:`CountermeasureCampaign.state_parts` in table order
-   (id counters, RNG streams, tokens, limiter windows, ..., the
-   campaign's own series, the telemetry registry and shadow trace);
-   and
-5. discards already-executed scheduler events and hands back the first
-   day still to run.
+4. installs links ``1..k`` in order: each advances the clock, walks
+   :meth:`CountermeasureCampaign.state_parts` in table order — applying
+   the growing parts' deltas (new accounts/posts/pages and engagement
+   suffixes, issued tokens and flipped invalidation flags, recruited
+   directory accounts, shadow-trace growth) and installing every other
+   part's state (id counters, RNG streams, limiter windows, ..., the
+   campaign's own series, the telemetry registry) — and discards the
+   scheduler events its day already executed; and
+5. re-takes the marks, so link ``k+1`` is a delta against link ``k``,
+   and hands back the first day still to run.
 
 A resumed run's request log is byte-identical to an uninterrupted run's
 (``tests/test_campaign_resume.py`` kills a run with SIGKILL mid-day and
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.checkpoint import MISSING, CheckpointStore
 from repro.journal.wal import EventJournal, JournalRecovery, SimulatedCrash
@@ -73,44 +79,52 @@ class RecoveryError(RuntimeError):
 # ----------------------------------------------------------------------
 @dataclass
 class CampaignCheckpoint:
-    """The state of every registered part at a day boundary."""
+    """One day's link in the checkpoint chain."""
 
     day: int
     clock: int
     #: Journal record count through this day — the coverage handshake
     #: that pairs a checkpoint with a (possibly truncated) journal.
     journal_records: int
-    #: ``export_state()`` of every ``campaign.state_parts()`` entry.
-    #: The shadow trace's export folds pending bytes, which is
-    #: digest-neutral here because the checkpoint sits at a day
-    #: boundary (see SanitizerTrace._fold).
+    #: One payload per ``campaign.state_parts()`` entry: a part with
+    #: ``mark()`` ships ``export_delta`` against the previous link's
+    #: mark (the campaign-start mark for day 1), every other part its
+    #: ``export_state()``.  The shadow trace's delta folds pending
+    #: bytes, which is digest-neutral here because the checkpoint sits
+    #: at a day boundary (see SanitizerTrace._fold).
     parts: Dict[str, object]
-    #: ``SocialPlatform.export_delta`` against the campaign-start mark:
-    #: the platform's full state is the built world a resume rebuilds.
-    platform: dict
 
 
-def capture_checkpoint(campaign, day: int, base: dict,
+def mark_parts(campaign) -> Dict[str, object]:
+    """``mark()`` of every part a checkpoint ships as a delta."""
+    return {name: part.mark()
+            for name, part in campaign.state_parts().items()
+            if hasattr(part, "mark")}
+
+
+def capture_checkpoint(campaign, day: int, marks: Dict[str, object],
                        journal_records: int) -> CampaignCheckpoint:
-    """Snapshot every part campaign days 1..``day`` mutated."""
+    """Snapshot what campaign day ``day`` changed since ``marks``."""
     world = campaign.world
     return CampaignCheckpoint(
         day=day,
         clock=world.clock.now(),
         journal_records=journal_records,
-        parts={name: part.export_state()
+        parts={name: (part.export_delta(marks[name]) if name in marks
+                      else part.export_state())
                for name, part in campaign.state_parts().items()},
-        platform=world.platform.export_delta(base),
     )
 
 
 def install_checkpoint(campaign, checkpoint: CampaignCheckpoint) -> None:
-    """Overlay ``checkpoint`` onto a freshly rebuilt campaign world."""
+    """Apply the next link of the chain to a rebuilt campaign world."""
     world = campaign.world
     world.clock.advance_to(checkpoint.clock)
-    world.platform.apply_delta(checkpoint.platform)
     for name, part in campaign.state_parts().items():
-        part.install_state(checkpoint.parts[name])
+        if hasattr(part, "mark"):
+            part.apply_delta(checkpoint.parts[name])
+        else:
+            part.install_state(checkpoint.parts[name])
     # Events the restored days already executed (e.g. milking follow-ups
     # scheduled into the campaign window) must not run twice.
     world.scheduler.discard_until(checkpoint.clock)
@@ -137,15 +151,16 @@ class CampaignRecovery:
         self.report: Optional[JournalRecovery] = None
         self.resumed_from_day: Optional[int] = None
         self.store: Optional[CheckpointStore] = None
-        #: ``SocialPlatform.mark()`` at campaign start, recomputed (not
-        #: stored) on resume: the rebuilt world reproduces it exactly.
-        self._base: Optional[dict] = None
+        #: :func:`mark_parts` at the last checkpointed day boundary (or
+        #: at campaign start), which the next checkpoint is a delta
+        #: against; recomputed, not stored, on resume.
+        self._marks: Dict[str, object] = {}
 
     # -- campaign.run() protocol ---------------------------------------
     def prepare(self, campaign) -> int:
         """Open/create the journal; returns the first day to run."""
         world = campaign.world
-        self._base = world.platform.mark()
+        self._marks = mark_parts(campaign)
         fingerprint = self._fingerprint(campaign)
         self.store = CheckpointStore(
             os.path.join(self.directory, _CHECKPOINT_DIR))
@@ -171,13 +186,14 @@ class CampaignRecovery:
     def on_day_complete(self, campaign, campaign_day: int) -> None:
         self.journal.seal_day()
         checkpoint = capture_checkpoint(campaign, campaign_day,
-                                        self._base, self.journal.records)
-        # The checkpoint must carry the live token table verbatim — a
+                                        self._marks, self.journal.records)
+        self._marks = mark_parts(campaign)
+        # The checkpoint must carry the day's live tokens verbatim — a
         # resumed run re-issues byte-identical Graph API calls against
         # the same tokens.  The store writes only to the experiment's
         # private checkpoint directory, never to exported artifacts.
         # (RL103 does not flag this: the taint engine does not resolve
-        # part.export_state() through the parts table.)
+        # part.export_delta() through the parts table.)
         self.store.save(f"day-{campaign_day:05d}", checkpoint)
         self._maybe_tear_tail(campaign, campaign_day)
 
@@ -189,7 +205,7 @@ class CampaignRecovery:
         world = campaign.world
         config = campaign.config
         return {
-            "format": "repro-journal-v1",
+            "format": "repro-journal-v2",
             "seed": world.rng.master_seed,
             "scale": world.config.scale,
             "days": config.days,
@@ -206,60 +222,57 @@ class CampaignRecovery:
                 f"journal at {self.directory} belongs to a different "
                 f"campaign configuration ({journal.meta!r} != "
                 f"{fingerprint!r})")
-        checkpoint = self._latest_covered_checkpoint(journal)
-        if checkpoint is None:
-            # Sealed days without a usable checkpoint (e.g. the crash
-            # landed between seal and checkpoint write on day 1):
+        chain = self._covered_chain(journal)
+        if not chain:
+            # Sealed days without a usable day-1 checkpoint (e.g. the
+            # crash landed between seal and checkpoint write on day 1):
             # nothing to resume from, start over on a fresh journal.
             return 1
         # Telemetry, the sanitizer and the fault injector are parts
         # only while on, and the fingerprint does not record them: a
         # resume that turned one on would restart it at this day.
         parts = campaign.state_parts()
-        missing = sorted(set(parts) - set(checkpoint.parts))
-        extra = sorted(set(checkpoint.parts) - set(parts))
-        if missing or extra:
-            raise RecoveryError(
-                f"the day {checkpoint.day} checkpoint in "
-                f"{self.directory} does not match this campaign's state "
-                f"parts (missing: {', '.join(missing) or 'none'}; "
-                f"extra: {', '.join(extra) or 'none'}); resume with "
-                f"the telemetry, sanitizer and fault plan of the run "
-                f"that wrote it")
-        journal.drop_days_after(checkpoint.day)
+        for checkpoint in chain:
+            missing = sorted(set(parts) - set(checkpoint.parts))
+            extra = sorted(set(checkpoint.parts) - set(parts))
+            if missing or extra:
+                raise RecoveryError(
+                    f"the day {checkpoint.day} checkpoint in "
+                    f"{self.directory} does not match this campaign's "
+                    f"state parts (missing: {', '.join(missing) or 'none'}"
+                    f"; extra: {', '.join(extra) or 'none'}); resume with "
+                    f"the telemetry, sanitizer and fault plan of the run "
+                    f"that wrote it")
+        last = chain[-1]
+        journal.drop_days_after(last.day)
         log = campaign.world.api.log
         rows = list(journal.replay_rows())
-        if len(rows) != checkpoint.journal_records:  # pragma: no cover
+        if len(rows) != last.journal_records:  # pragma: no cover
             raise RecoveryError(
                 f"journal replay produced {len(rows)} rows but the day "
-                f"{checkpoint.day} checkpoint recorded "
-                f"{checkpoint.journal_records}")
+                f"{last.day} checkpoint recorded {last.journal_records}")
         log.append_exported(rows)
-        install_checkpoint(campaign, checkpoint)
+        for checkpoint in chain:
+            install_checkpoint(campaign, checkpoint)
+        self._marks = mark_parts(campaign)
         self.journal = journal
-        self.resumed_from_day = checkpoint.day + 1
-        return checkpoint.day + 1
+        self.resumed_from_day = last.day + 1
+        return last.day + 1
 
-    def _latest_covered_checkpoint(
-            self, journal: EventJournal) -> Optional[CampaignCheckpoint]:
-        days = []
-        for name in self.store.completed():
-            if name.startswith("day-"):
-                try:
-                    days.append(int(name[4:]))
-                except ValueError:
-                    continue
-        for day in sorted(days, reverse=True):
-            if day > journal.last_sealed_day:
-                continue
+    def _covered_chain(self, journal: EventJournal
+                       ) -> List[CampaignCheckpoint]:
+        """Checkpoints ``1..k`` for the newest day ``k`` whose links all
+        load and whose link ``k`` the sealed journal covers."""
+        chain: List[CampaignCheckpoint] = []
+        for day in range(1, journal.last_sealed_day + 1):
             checkpoint = self.store.load(f"day-{day:05d}")
             if checkpoint is MISSING:
-                continue
-            if checkpoint.journal_records != journal.records_through_day(
-                    day):
-                continue
-            return checkpoint
-        return None
+                break
+            chain.append(checkpoint)
+        while chain and (chain[-1].journal_records
+                         != journal.records_through_day(chain[-1].day)):
+            chain.pop()
+        return chain
 
     # -- torn-tail chaos -----------------------------------------------
     def _torn_marker_path(self) -> str:

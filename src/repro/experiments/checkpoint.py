@@ -3,12 +3,14 @@
 :class:`~repro.countermeasures.recovery.CampaignRecovery` saves one
 :class:`~repro.countermeasures.recovery.CampaignCheckpoint` per
 completed campaign day into a :class:`CheckpointStore` next to the
-journal, and on resume loads the newest one the sealed journal still
-covers.  Each entry is its own pickle file, written atomically (tmp
-file + fsync + ``os.replace``) so a crash mid-write can never corrupt
-a completed checkpoint; a torn or unreadable file loads as
-:data:`MISSING`, so resume falls back to an older day.  The journal's
-own ``meta.json`` fingerprint guards resume against a different
+journal.  The checkpoints form a chain — day ``k`` holds the growing
+state parts as deltas against day ``k-1`` — so a resume loads days
+``1..k`` in order and applies them all.  Each entry is its own pickle
+file, written atomically (tmp file + fsync + ``os.replace``) so a
+crash mid-write can never corrupt a completed checkpoint; a torn or
+unreadable file loads as :data:`MISSING`, which ends the chain there,
+so resume falls back to the day before it.  The journal's own
+``meta.json`` fingerprint guards resume against a different
 configuration.
 
 The store deliberately keeps no in-memory cache of checkpoints: a

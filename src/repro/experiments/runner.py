@@ -117,9 +117,9 @@ def run_campaign(artifacts: StudyArtifacts,
     if networks != config.networks:
         config = CampaignConfig(**{**config.__dict__,
                                    "networks": networks})
-    runner = CountermeasureCampaign(artifacts.world, artifacts.ecosystem,
-                                    config)
     with paused_gc():
+        runner = CountermeasureCampaign(artifacts.world,
+                                        artifacts.ecosystem, config)
         artifacts.campaign = runner.run(recovery=recovery)
     return artifacts.campaign
 

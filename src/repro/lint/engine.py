@@ -6,8 +6,8 @@ SARIF fingerprints stable across checkouts and installs.
 
 Since v2 the engine is project-aware: every module that parses is
 indexed into a :class:`~repro.lint.graph.ProjectGraph` (symbol table,
-import/call graph, one-level function summaries) before any rule runs,
-so per-module rules can consult cross-module facts and
+import/call graph, function summaries solved to a fixpoint) before any
+rule runs, so per-module rules can consult cross-module facts and
 :class:`~repro.lint.rules.ProjectRule` subclasses run once over the
 whole graph.  Files that fail to parse (or read) become ``RL000``
 findings instead of aborting the run.

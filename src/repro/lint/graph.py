@@ -192,8 +192,8 @@ class ProjectGraph:
 
         Handles imported names (via the module's alias table), local
         module-level functions, and ``self.method()`` within a class.
-        Method calls on arbitrary objects stay unresolved — one-level
-        summaries deliberately trade soundness for zero surprises.
+        Method calls on arbitrary objects stay unresolved — call
+        resolution deliberately trades soundness for zero surprises.
         """
         func = call.func
         dotted = info.ctx.resolve(func)

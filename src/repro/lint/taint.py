@@ -14,10 +14,12 @@ The engine is a forward, flow-sensitive walk over one function (or the
 module top level): assignments propagate origin labels, f-strings /
 ``%`` / ``+`` / ``str.format`` / slicing keep taint alive, unknown
 calls drop it (no false positives from ``len(token)``), and registered
-redactors clear it.  One level of interprocedural precision comes from
-:mod:`repro.lint.summaries`: calling a helper whose parameter reaches
-a sink flags the call site, and helpers that return their parameter's
-taint propagate it to the caller.
+redactors clear it.  Interprocedural precision comes from the
+function summaries of :mod:`repro.lint.summaries`, which
+:mod:`repro.lint.fixpoint` solves to convergence over the call graph:
+calling a helper whose parameter reaches a sink — through any chain of
+further helpers — flags the call site, and helpers that return their
+parameter's taint propagate it to the caller.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _TOKEN_STORE_BASES = frozenset({
 #: AccessToken object — an object's repr embeds the raw string).
 _TOKEN_STORE_GETTERS = frozenset({
     "validate", "peek", "issue", "live_token_for", "get",
-    "export_state",
+    "export_state", "export_delta",
 })
 
 #: Calls that mint or extract a token string wherever they appear.
@@ -301,7 +303,7 @@ class TaintWalker:
         return set()
 
     # ------------------------------------------------------------------
-    # Summaries (one-level interprocedural)
+    # Summaries (interprocedural, solved by the fixpoint)
     # ------------------------------------------------------------------
     def _summary_for(self, call: ast.Call):
         project = getattr(self.ctx, "project", None)

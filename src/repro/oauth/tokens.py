@@ -144,54 +144,57 @@ class TokenStore:
         """Invalidate a batch; returns how many were live before the call."""
         return sum(1 for t in token_strings if self.invalidate(t, reason))
 
-    def export_state(self) -> Dict:
-        """Full store snapshot for a campaign checkpoint.
+    # ------------------------------------------------------------------
+    # State transfer (campaign checkpoints)
+    # ------------------------------------------------------------------
+    # Tokens are only ever added, and a token's one later change is its
+    # invalidated flag (set together with its reason), so a checkpoint
+    # carries the tokens issued since the previous day's mark plus the
+    # flags that flipped.
+    def mark(self) -> bytes:
+        """One byte per token, in issue order: its invalidated flag."""
+        return bytes(token.invalidated for token in self._tokens.values())
 
-        Token strings and attributes are copied into plain picklable
-        rows; :meth:`install_state` rebuilds identical
-        :class:`AccessToken` objects (scope objects are shared — they
-        are immutable by convention).
+    def export_delta(self, mark: bytes) -> Dict:
+        """Tokens issued since ``mark`` as plain picklable rows, and the
+        earlier tokens whose invalidated flag flipped since, by string.
+
+        Scope objects are shared — they are immutable by convention.
         """
-        return {
-            "counter": self._counter,
-            "tokens": [
-                (t.token, t.user_id, t.app_id, t.scope, t.issued_at,
-                 t.expires_at, t.invalidated, t.invalidation_reason)
-                for t in self._tokens.values()],
-            "by_user_app": dict(self._by_user_app),
-        }
+        flipped = []
+        issued = []
+        for index, t in enumerate(self._tokens.values()):
+            if index >= len(mark):
+                issued.append((t.token, t.user_id, t.app_id, t.scope,
+                               t.issued_at, t.expires_at, t.invalidated,
+                               t.invalidation_reason))
+            elif t.invalidated != mark[index]:
+                flipped.append((t.token, t.invalidated,
+                                t.invalidation_reason))
+        return {"counter": self._counter, "flipped": flipped,
+                "issued": issued}
 
-    def install_state(self, state: Dict) -> None:
-        """Restore an :meth:`export_state` snapshot.
+    def apply_delta(self, delta: Dict) -> None:
+        """Apply an :meth:`export_delta` onto the store it was marked on.
 
-        Tokens already present keep their *object identity* and are
-        updated in place — callers across the simulation (API caches,
-        network token books) hold references to the live objects, and a
-        resume restores state onto the same world those holders see.
+        Tokens already present keep their *object identity* and flip in
+        place — callers across the simulation (API caches, network token
+        books) hold references to the live objects.  Issued tokens
+        replay :meth:`issue`'s bookkeeping in issue order.
         """
-        self._counter = state["counter"]
-        existing = self._tokens
-        rebuilt: Dict[str, AccessToken] = {}
+        self._counter = delta["counter"]
+        tokens = self._tokens
+        for token, invalidated, reason in delta["flipped"]:
+            live = tokens[token]
+            live.invalidated = invalidated
+            live.invalidation_reason = reason
         for (token, user_id, app_id, scope, issued_at, expires_at,
-             invalidated, reason) in state["tokens"]:
-            live = existing.get(token)
-            if live is None:
-                live = AccessToken(
-                    token=token, user_id=user_id, app_id=app_id,
-                    scope=scope, issued_at=issued_at,
-                    expires_at=expires_at, invalidated=invalidated,
-                    invalidation_reason=reason)
-            else:
-                live.user_id = user_id
-                live.app_id = app_id
-                live.scope = scope
-                live.issued_at = issued_at
-                live.expires_at = expires_at
-                live.invalidated = invalidated
-                live.invalidation_reason = reason
-            rebuilt[token] = live
-        self._tokens = rebuilt
-        self._by_user_app = dict(state["by_user_app"])
+             invalidated, reason) in delta["issued"]:
+            tokens[token] = AccessToken(
+                token=token, user_id=user_id, app_id=app_id, scope=scope,
+                issued_at=issued_at, expires_at=expires_at,
+                invalidated=invalidated, invalidation_reason=reason)
+            self._by_user_app[(user_id, app_id)] = token
 
     def live_tokens_for_app(self, app_id: str) -> List[AccessToken]:
         now = self._clock.now()

@@ -316,24 +316,65 @@ class SanitizerTrace:
         return {"streams": streams, "day": self._day,
                 "last_clock": self._last_clock}
 
-    def install_state(self, snapshot: dict) -> None:
-        """Restore an :meth:`export_state` snapshot wholesale."""
-        self._streams = {}
-        for name, data in snapshot["streams"].items():
-            state = _StreamState()
+    # A day checkpoint carries only what each stream recorded since the
+    # previous day's mark: epochs and ring events append, and a day's
+    # samples change only while that day is the stream's open day.
+    def mark(self) -> Dict[str, Tuple[int, int]]:
+        """Per-stream ``(sealed epochs, events recorded)`` counts."""
+        return {name: (len(state.epochs), state.total)
+                for name, state in self._streams.items()}
+
+    def export_delta(self, mark: Dict[str, Tuple[int, int]]) -> dict:
+        """Each stream's growth since ``mark``.
+
+        Pending bytes are folded first, exactly as :meth:`export_state`
+        folds them, so a checkpointed run keeps the same fold points.
+        """
+        streams = {}
+        for name, state in self._streams.items():
+            epochs_before, total_before = mark.get(name, (0, 0))
+            if not state.pending and state.total == total_before:
+                continue
+            state.chain = _fold(state.chain, state.pending)
+            epochs = state.epochs[epochs_before:]
+            # Every day open at some point since the mark: the sealed
+            # ones are in the new epochs, the last is still open.
+            touched = {day for day, _count, _chain in epochs}
+            touched.add(state.day)
+            ring = list(state.ring)
+            fresh = min(state.total - total_before, len(ring))
+            streams[name] = {
+                "day": state.day,
+                "seq": state.seq,
+                "total": state.total,
+                "chain": state.chain,
+                "epochs": epochs,
+                "samples": {day: list(entries)
+                            for day, entries in state.samples.items()
+                            if day in touched},
+                "stride": state.stride,
+                "ring": ring[len(ring) - fresh:],
+            }
+        return {"streams": streams, "day": self._day,
+                "last_clock": self._last_clock}
+
+    def apply_delta(self, delta: dict) -> None:
+        """Apply an :meth:`export_delta` onto the trace it was marked on."""
+        for name, data in delta["streams"].items():
+            state = self._streams.get(name)
+            if state is None:
+                state = self._streams[name] = _StreamState()
             state.day = data["day"]
             state.seq = data["seq"]
             state.total = data["total"]
             state.chain = data["chain"]
             state.pending = bytearray()
-            state.epochs = list(data["epochs"])
-            state.samples = {day: list(entries)
-                             for day, entries in data["samples"].items()}
+            state.epochs.extend(data["epochs"])
+            state.samples.update(data["samples"])
             state.stride = data["stride"]
-            state.ring = deque(data["ring"], maxlen=RING_SIZE)
-            self._streams[name] = state
-        self._day = snapshot["day"]
-        self._last_clock = snapshot["last_clock"]
+            state.ring.extend(data["ring"])
+        self._day = delta["day"]
+        self._last_clock = delta["last_clock"]
 
     # ------------------------------------------------------------------
     # Introspection / manifest

@@ -219,8 +219,8 @@ class SocialPlatform:
     # State transfer (campaign checkpoints)
     # ------------------------------------------------------------------
     # The platform's full state is the built world, which a resume
-    # rebuilds deterministically; checkpoints carry only the growth
-    # beyond a mark taken when recording began.
+    # rebuilds deterministically; each day checkpoint carries only the
+    # growth beyond the previous day's mark.
     def mark(self) -> Dict[str, object]:
         """Sizes of every registry, engagement list and activity list."""
         return {

@@ -10,6 +10,7 @@ where a test pins two different ones to prove it does not matter.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import signal
@@ -121,6 +122,81 @@ def test_sigkill_mid_day_then_resume_is_byte_identical(
         load_manifest(str(sanitized_reference["trace_dir"])),
         load_manifest(str(tmp_path / "resumed-trace")))
     assert diff.equal, diff.render()
+
+
+def test_second_crash_after_a_resume_resumes_through_the_chain(
+        tmp_path, reference, sanitized_reference):
+    """A resume re-takes the checkpoint marks: links 6-8, written by a
+    resumed run, are deltas against link 5, so a run killed on day 6,
+    resumed, killed again on day 9 and resumed once more converges."""
+    journal = tmp_path / "journal"
+    for kill_day in (6, 9):
+        crashed = _run_driver("--journal", journal, "--kill-day", kill_day,
+                              "--sanitize", tmp_path / f"trace-{kill_day}")
+        assert crashed.returncode == -signal.SIGKILL, (
+            f"expected SIGKILL death on day {kill_day}, got "
+            f"rc={crashed.returncode}: {crashed.stderr[-2000:]}")
+
+    resumed = _run_driver("--journal", journal,
+                          "--sanitize", tmp_path / "resumed-trace")
+    assert resumed.returncode == 0, resumed.stderr[-2000:]
+    parsed = _parse(resumed.stdout)
+    assert parsed["resumed_from"] == "9"
+    assert parsed["digest"] == reference["digest"]
+    assert parsed["rows"] == reference["rows"]
+    assert (parsed["telemetry_fingerprint"]
+            == reference["telemetry_fingerprint"])
+    assert (parsed["sanitizer_fingerprint"]
+            == sanitized_reference["sanitizer_fingerprint"])
+    from repro.sanitizer import diff_manifests, load_manifest
+
+    diff = diff_manifests(
+        load_manifest(str(sanitized_reference["trace_dir"])),
+        load_manifest(str(tmp_path / "resumed-trace")))
+    assert diff.equal, diff.render()
+
+
+def test_a_torn_middle_link_ends_the_chain(tmp_path, reference):
+    """Links 4 and 5 are deltas against a torn link 3, so the resume
+    restarts from day 3 instead of skipping over it."""
+    journal = tmp_path / "journal"
+    crashed = _run_driver("--journal", journal, "--kill-day", 6)
+    assert crashed.returncode == -signal.SIGKILL, (
+        f"expected SIGKILL death, got rc={crashed.returncode}: "
+        f"{crashed.stderr[-2000:]}")
+    link = journal / "checkpoints" / "day-00003.pkl"
+    data = link.read_bytes()
+    link.write_bytes(data[:len(data) // 2])
+
+    resumed = _run_driver("--journal", journal)
+    assert resumed.returncode == 0, resumed.stderr[-2000:]
+    parsed = _parse(resumed.stdout)
+    assert parsed["resumed_from"] == "3"
+    assert parsed["digest"] == reference["digest"]
+    assert parsed["rows"] == reference["rows"]
+    assert (parsed["telemetry_fingerprint"]
+            == reference["telemetry_fingerprint"])
+
+
+def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
+    """Journals written before the checkpoint chain carry whole-state
+    checkpoints under format ``repro-journal-v1``; a resume refuses
+    one instead of applying its checkpoints as a chain."""
+    journal = tmp_path / "journal"
+    crashed = _run_driver("--journal", journal, "--kill-day", 3)
+    assert crashed.returncode == -signal.SIGKILL, (
+        f"expected SIGKILL death, got rc={crashed.returncode}: "
+        f"{crashed.stderr[-2000:]}")
+    meta_path = journal / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    assert meta["format"] == "repro-journal-v2"
+    meta["format"] = "repro-journal-v1"
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+    resumed = _run_driver("--journal", journal)
+    assert resumed.returncode != 0
+    assert "RecoveryError" in resumed.stderr
+    assert "repro-journal-v1" in resumed.stderr
 
 
 def test_torn_tail_is_detected_truncated_and_converges(tmp_path):

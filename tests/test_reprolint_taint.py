@@ -141,7 +141,7 @@ def test_redactor_clears_taint_by_any_route():
 
 
 # ----------------------------------------------------------------------
-# One-level summaries
+# Interprocedural summaries
 # ----------------------------------------------------------------------
 def test_param_to_sink_summary_flags_the_call_site():
     findings = lint_source(textwrap.dedent("""
@@ -186,7 +186,7 @@ def test_clean_helper_produces_no_flow():
 # ----------------------------------------------------------------------
 def test_recovery_checkpoint_pragma_is_load_bearing():
     # Checkpoint capture reaches the token table through the parts
-    # table (part.export_state()), which the taint engine does not
+    # table (part.export_delta()), which the taint engine does not
     # resolve, so recovery.py needs no RL103 pragma.  The checkpoint
     # store is still a proven sink: saving the token store's export
     # directly is flagged.
@@ -197,7 +197,7 @@ def test_recovery_checkpoint_pragma_is_load_bearing():
     anchor = '        self.store.save(f"day-{campaign_day:05d}", checkpoint)\n'
     assert source.count(anchor) == 1
     grafted = source.replace(anchor, anchor + (
-        '        self.store.save("x", campaign.world.tokens.export_state())\n'))
+        '        self.store.save("x", campaign.world.tokens.export_delta(b""))\n'))
     rules = [f.rule for f in lint_source(grafted, path=path)]
     assert rules == ["RL103"]
 

@@ -11,6 +11,8 @@ differ's bisection mechanics instead.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -219,7 +221,7 @@ def test_export_install_mid_run_is_digest_neutral():
     first = _drive(schedule[:45])
     handoff = SanitizerTrace()
     handoff.enable()
-    handoff.install_state(first.export_state())
+    handoff.apply_delta(first.export_delta({}))
     frame = sys._getframe()
     for day, payload in schedule[45:]:
         handoff.set_day(day)
@@ -227,6 +229,38 @@ def test_export_install_mid_run_is_digest_neutral():
 
     assert handoff.fingerprint() == straight.fingerprint()
     assert diff_manifests(straight.manifest(), handoff.manifest()).equal
+
+
+def test_delta_chain_continues_like_the_checkpointed_trace():
+    """Day checkpoints ship the trace as deltas against the previous
+    day's mark.  A copy taken at the mark plus the delta continues
+    exactly like the trace that exported it — also when the delta has
+    no new event and only folds bytes a thinned stride left pending."""
+    frame = sys._getframe()
+
+    def record(trace, day, count):
+        trace.set_day(day)
+        for seq in range(count):
+            trace.record_draw("campaign", b"draw:%d:%d" % (day, seq),
+                              "random()", frame)
+
+    source = SanitizerTrace()
+    source.enable()
+    record(source, 0, MAX_SAMPLES + 3)
+    assert source._streams["rng:campaign"].pending
+    twin = copy.deepcopy(source)
+    for day, fresh in ((0, 0), (1, 40)):
+        mark = source.mark()
+        record(source, day, fresh)
+        twin.apply_delta(pickle.loads(pickle.dumps(
+            source.export_delta(mark))))
+        for trace in (source, twin):
+            record(trace, day, 7)
+        assert twin.fingerprint() == source.fingerprint()
+    for trace in (source, twin):
+        record(trace, 2, 5)
+    assert twin.fingerprint() == source.fingerprint()
+    assert twin.export_state() == source.export_state()
 
 
 def test_clock_reads_deduplicate_by_value():

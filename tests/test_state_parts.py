@@ -1,14 +1,16 @@
 """The state-transfer protocol: every stateful subsystem is a part of
 ``CountermeasureCampaign.state_parts()``, and parts round-trip through
-``export_state()``/``install_state()``.
+``export_state()``/``install_state()`` or, for the parts that grow with
+the campaign, ``mark()``/``export_delta()``/``apply_delta()``.
 
 Day checkpoints and shard deltas are both payloads of the registered
 parts, so a class that grows the protocol but is missing from the
 table would silently fall out of resume and shard merges.  A part that
 is registered but drops an attribute is caught by the day-checkpoint
-round trip: a pickled checkpoint installed into a rebuilt twin must
-match the source attribute by attribute, except the caches a class
-lists in its ``_TRANSIENT`` tuple.
+round trip: the pickled chain of checkpoints installed into a rebuilt
+twin must match the source attribute by attribute, except the caches a
+class lists in its ``_TRANSIENT`` tuple.  That each checkpoint carries
+one day, not the campaign so far, is pinned separately.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import importlib
 import inspect
 import pkgutil
 import random
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping
+from dataclasses import astuple
 
 import repro
 from repro.apps.catalog import AppCatalog
@@ -32,8 +35,10 @@ from repro.countermeasures.campaign import (
     CountermeasureCampaign,
 )
 from repro.countermeasures.recovery import (
+    CampaignRecovery,
     capture_checkpoint,
     install_checkpoint,
+    mark_parts,
 )
 from repro.experiments.checkpoint import CheckpointStore
 from repro.faults.plan import transient_plan
@@ -226,20 +231,23 @@ def _run_days(campaign, days):
 
 
 def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
-    # A resume installs a pickled day checkpoint into a rebuilt world;
-    # every attribute a campaign day mutates must come back, except
-    # the caches each class lists in _TRANSIENT.
+    # A resume installs the pickled chain of day checkpoints into a
+    # rebuilt world; every attribute a campaign day mutates must come
+    # back, except the caches each class lists in _TRANSIENT.
     planes = {"telemetry": TELEMETRY, "sanitizer": SANITIZER}
     with _planes_on():
         source = _campaign()
-        base = source.world.platform.mark()
+        marks = mark_parts(source)
         base_rows = len(source.world.api.log)
-        _run_days(source, range(1, 10))
-        rows = source.world.api.log.export_rows(base_rows)
         store = CheckpointStore(str(tmp_path))
-        store.save("day-00009", capture_checkpoint(source, 9, base,
-                                                   len(rows)))
-        checkpoint = store.load("day-00009")
+        for day in range(1, 10):
+            _run_days(source, (day,))
+            records = len(source.world.api.log) - base_rows
+            store.save(f"day-{day:05d}",
+                       capture_checkpoint(source, day, marks, records))
+            marks = mark_parts(source)
+        rows = source.world.api.log.export_rows(base_rows)
+        chain = [store.load(f"day-{day:05d}") for day in range(1, 10)]
         # The planes are process-global: keep the source's copy aside
         # while the twin is built under fresh ones.
         saved = {name: copy.deepcopy(plane)
@@ -248,7 +256,8 @@ def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
             plane.reset()
         twin = _campaign()
         twin.world.api.log.append_exported(rows)
-        install_checkpoint(twin, checkpoint)
+        for checkpoint in chain:
+            install_checkpoint(twin, checkpoint)
 
         differ = _Differ(_subsystems(source, saved),
                          _subsystems(twin, planes))
@@ -268,6 +277,77 @@ def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
         for name, plane in planes.items():
             vars(plane).update(vars(saved[name]))
         assert _run_days(source, range(10, 13)) == twin_end
+
+
+def _platform_objects(delta):
+    """A key for every platform object a ``SocialPlatform`` delta
+    ships: accounts, posts, pages, likes, comments, activity records."""
+    keys = [("account", account.account_id)
+            for account in delta["new_accounts"]]
+    likes, comments = [], []
+    for post in delta["new_posts"]:
+        keys.append(("post", post.post_id))
+        likes += post.likes
+        comments += post.comments
+    for page in delta["new_pages"]:
+        keys.append(("page", page.page_id))
+        likes += page.likes
+    for _post_id, post_likes, post_comments in delta["touched_posts"]:
+        likes += post_likes
+        comments += post_comments
+    for _page_id, page_likes in delta["touched_pages"]:
+        likes += page_likes
+    keys += [("like", like.liker_id, like.object_id) for like in likes]
+    keys += [("comment", comment.comment_id) for comment in comments]
+    for records in delta["activity"].values():
+        keys += [("activity", astuple(record)) for record in records]
+    return keys
+
+
+def test_each_checkpoint_ships_one_day_of_growth(tmp_path):
+    # Link k of the chain carries what day k added and nothing older:
+    # every platform object lands in exactly one checkpoint, and the
+    # token part names exactly the tokens day k issued or flipped.
+    campaign = _campaign()
+    world = campaign.world
+    start = world.platform.mark()
+    recovery = CampaignRecovery(str(tmp_path / "journal"))
+    flags = {}
+    begin_day = recovery.begin_day
+
+    def note_flags_then_begin(campaign, day):
+        flags[day] = {t.token: t.invalidated
+                      for t in world.tokens._tokens.values()}
+        begin_day(campaign, day)
+
+    recovery.begin_day = note_flags_then_begin
+    campaign.run(recovery=recovery)
+    flags[13] = {t.token: t.invalidated
+                 for t in world.tokens._tokens.values()}
+
+    store = CheckpointStore(str(tmp_path / "journal" / "checkpoints"))
+    chain = [store.load(f"day-{day:05d}") for day in range(1, 13)]
+    shipped = Counter()
+    for checkpoint in chain:
+        shipped.update(_platform_objects(checkpoint.parts["platform"]))
+    grown = Counter(_platform_objects(world.platform.export_delta(start)))
+    assert shipped == grown
+    # Campaign days request likes only (comments are milking traffic).
+    kinds = Counter(key[0] for key in grown)
+    assert sorted(kinds) == ["account", "activity", "like", "page", "post"]
+
+    issued = flipped = 0
+    for day, checkpoint in enumerate(chain, start=1):
+        before, after = flags[day], flags[day + 1]
+        changed = sorted(token for token, flag in after.items()
+                         if before.get(token) != flag)
+        delta = checkpoint.parts["tokens"]
+        named = sorted([row[0] for row in delta["issued"]]
+                       + [row[0] for row in delta["flipped"]])
+        assert named == changed, day
+        issued += len(delta["issued"])
+        flipped += len(delta["flipped"])
+    assert issued and flipped
 
 
 def _shortener():
