@@ -59,11 +59,8 @@ class DeliveryReport:
     transient_failures: int = 0
     #: Retry attempts spent on transient failures during this delivery.
     retries: int = 0
-    #: Retry loops that gave up with attempts left to burn but the
-    #: elapsed-time budget (``RetryPolicy.max_elapsed``) exhausted...
-    giveups_deadline: int = 0
-    #: ...vs loops that burned the full attempt budget.
-    giveups_attempts: int = 0
+    #: Retry loops that burned the full attempt budget.
+    giveups: int = 0
     halted: bool = False  # no usable IPs left: delivery cannot continue
 
     @property
@@ -580,14 +577,9 @@ class CollusionNetwork:
         if report.retries:
             TELEMETRY.count("delivery_retries_total", report.retries,
                             network=domain)
-        if report.giveups_attempts:
-            TELEMETRY.count("delivery_giveups_total",
-                            report.giveups_attempts,
-                            network=domain, reason="attempts")
-        if report.giveups_deadline:
-            TELEMETRY.count("delivery_giveups_total",
-                            report.giveups_deadline,
-                            network=domain, reason="deadline")
+        if report.giveups:
+            TELEMETRY.count("delivery_giveups_total", report.giveups,
+                            network=domain)
 
     def _wave_like_run(self, wave, quota: int, budget: int,
                        used: Set[str], report: DeliveryReport) -> None:
@@ -617,17 +609,13 @@ class CollusionNetwork:
                 return
             code = wave_like(token, ip)
             if code in _TRANSIENT_CODES:
-                before = counters["retries"]
-                attempts0 = counters["giveups_attempts"]
-                deadline0 = counters["giveups_deadline"]
+                retries0 = counters["retries"]
+                giveups0 = counters["giveups"]
                 code = retry_policy.retry(
                     "like_post", member, now,
                     lambda: wave_like(token, ip), code)
-                report.retries += counters["retries"] - before
-                report.giveups_attempts += (
-                    counters["giveups_attempts"] - attempts0)
-                report.giveups_deadline += (
-                    counters["giveups_deadline"] - deadline0)
+                report.retries += counters["retries"] - retries0
+                report.giveups += counters["giveups"] - giveups0
             if code is not None:
                 if code == "invalid_token":
                     self._drop_member(member)
@@ -719,16 +707,12 @@ class CollusionNetwork:
 
         policy = self.retry_policy
         counters = policy.counters
-        before = counters["retries"]
-        attempts0 = counters["giveups_attempts"]
-        deadline0 = counters["giveups_deadline"]
+        retries0 = counters["retries"]
+        giveups0 = counters["giveups"]
         code = policy.retry("comment", member, self.world.clock._now,
                             attempt, "transient")
-        report.retries += counters["retries"] - before
-        report.giveups_attempts += (
-            counters["giveups_attempts"] - attempts0)
-        report.giveups_deadline += (
-            counters["giveups_deadline"] - deadline0)
+        report.retries += counters["retries"] - retries0
+        report.giveups += counters["giveups"] - giveups0
         return code
 
     # ------------------------------------------------------------------

@@ -271,17 +271,16 @@ class CountermeasureCampaign:
         """Every stateful subsystem a campaign day mutates, by name, in
         install order.
 
-        The parts whose state grows with the campaign (``platform``,
-        ``tokens``, ``directory``, ``sanitizer``) have ``mark()``,
-        ``export_delta(mark)`` and ``apply_delta(delta)``, and a day
-        checkpoint carries their growth since the previous day's
-        marks.  Every other part has ``export_state()``/
-        ``install_state(state)`` and is checkpointed whole; of those,
-        the additive ones (``api``, ``faults``, ``telemetry``) also have
-        ``export_delta(base)``/``apply_delta(delta)``, where ``base`` is
-        an earlier ``export_state()`` of the same part, and a shard
-        child ships their deltas next to its component's states.
-        Disabled planes and an absent fault injector are left out.
+        Each part moves one way.  The parts whose state grows with the
+        campaign (``platform``, ``tokens``, ``directory``,
+        ``sanitizer``) or adds up (``api``, ``faults``, ``telemetry``)
+        have ``mark()``, ``export_delta(mark)`` and
+        ``apply_delta(delta)``: a day checkpoint carries their change
+        since the previous day's marks, and a shard child ships the
+        additive ones' change since its start-of-day marks.  Every
+        other part has ``export_state()``/``install_state(state)`` and
+        moves whole.  Disabled planes and an absent fault injector are
+        left out.
         """
         world = self.world
         parts: Dict[str, object] = {

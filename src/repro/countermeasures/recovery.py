@@ -8,10 +8,12 @@ format):
   WAL as it is appended (fsync at each day seal), and
 * at every completed campaign day a :class:`CampaignCheckpoint` — one
   link of a chain — is written atomically next to the journal.  Link
-  ``k`` carries each part whose state grows with the campaign (the
-  platform, the token store, the member directory and the shadow
-  trace) as a delta against link ``k-1``'s marks, and every other
-  state part whole, so a day's checkpoint costs one day.
+  ``k`` carries each part with a ``mark()`` — those whose state grows
+  with the campaign (the platform, the token store, the member
+  directory, the shadow trace) or adds up (the charge counters, the
+  fault decisions, the telemetry registry) — as a delta against link
+  ``k-1``'s marks, and every other state part whole, so a day's
+  checkpoint costs one day.
 
 Resume protocol.  The campaign world is *rebuilt* deterministically by
 the caller (same seed, same build + pre-campaign sequence), never
@@ -33,12 +35,13 @@ On top of the rebuilt base world, ``prepare`` then
    byte;
 4. installs links ``1..k`` in order: each advances the clock, walks
    :meth:`CountermeasureCampaign.state_parts` in table order — applying
-   the growing parts' deltas (new accounts/posts/pages and engagement
-   suffixes, issued tokens and flipped invalidation flags, recruited
-   directory accounts, shadow-trace growth) and installing every other
+   the marked parts' deltas (new accounts/posts/pages and engagement
+   suffixes, issued tokens and flipped invalidation flags, charge
+   counter increments, fault decisions, recruited directory accounts,
+   metric increments, shadow-trace growth) and installing every other
    part's state (id counters, RNG streams, limiter windows, ..., the
-   campaign's own series, the telemetry registry) — and discards the
-   scheduler events its day already executed; and
+   campaign's own series) — and discards the scheduler events its day
+   already executed; and
 5. re-takes the marks, so link ``k+1`` is a delta against link ``k``,
    and hands back the first day still to run.
 
@@ -89,9 +92,10 @@ class CampaignCheckpoint:
     #: One payload per ``campaign.state_parts()`` entry: a part with
     #: ``mark()`` ships ``export_delta`` against the previous link's
     #: mark (the campaign-start mark for day 1), every other part its
-    #: ``export_state()``.  The shadow trace's delta folds pending
-    #: bytes, which is digest-neutral here because the checkpoint sits
-    #: at a day boundary (see SanitizerTrace._fold).
+    #: ``export_state()``; no part has both.  The shadow trace's delta
+    #: folds pending bytes, which is digest-neutral here because the
+    #: checkpoint sits at a day boundary (see
+    #: ``repro.sanitizer.trace._fold``).
     parts: Dict[str, object]
 
 
@@ -205,7 +209,7 @@ class CampaignRecovery:
         world = campaign.world
         config = campaign.config
         return {
-            "format": "repro-journal-v2",
+            "format": "repro-journal-v3",
             "seed": world.rng.master_seed,
             "scale": world.config.scale,
             "days": config.days,

@@ -58,10 +58,11 @@ likes, and payloads of the campaign's state parts
 (:meth:`~repro.countermeasures.campaign.CountermeasureCampaign.state_parts`)
 — the ``export_state`` of the component's limiter keys and networks
 (including each network RNG), and the ``export_delta`` of the additive
-parts (charge counters, fault decisions, metrics).  The parent
-interleaves all children's log/activity/trace segments by global event
-order — restoring exactly what a serial run appends — and installs the
-disjoint part payloads through the same table.
+parts (charge counters, fault decisions, metrics) against their
+``mark()`` at the start of the child's day.  The parent interleaves all
+children's log/activity/trace segments by global event order —
+restoring exactly what a serial run appends — and installs or applies
+the disjoint part payloads through the same table.
 
 The executor is about parallel *safety*, not speed.  Children run one
 at a time by construction, whatever the core count: the day loop forks
@@ -223,8 +224,8 @@ def plan_shards(networks: Dict[str, object], *,
                      blockers=blockers)
 
 
-#: State parts a shard child ships as ``export_delta`` against its
-#: start-of-day ``export_state`` (the rest of its parts ship whole).
+#: State parts a shard child ships as ``export_delta`` against their
+#: start-of-day ``mark()`` (its limiter keys and networks ship whole).
 _ADDITIVE_PARTS = ("api", "faults", "telemetry")
 
 
@@ -238,9 +239,10 @@ class ShardDayDelta:
     the originating events as ``(seq, when, row_lo, row_hi, act_lo,
     act_hi, trace_lo, trace_hi)`` slices so the parent can interleave
     multiple children in global event order.  ``states`` and
-    ``deltas`` are keyed by state-part name (``export_state`` and
-    ``export_delta`` payloads); an inline re-execution leaves both
-    empty, its state having landed on the parent's parts directly.
+    ``deltas`` are keyed by state-part name (``export_state`` payloads
+    of the whole-moving parts, ``export_delta`` payloads of the
+    additive ones); an inline re-execution leaves both empty, its
+    state having landed on the parent's parts directly.
     """
 
     domains: Tuple[str, ...]
@@ -255,24 +257,24 @@ class ShardDayDelta:
 
 
 def _execute_events(campaign, component: Sequence[str], events,
-                    request_posts: Dict[int, str], row0: int,
+                    request_posts: Dict[int, str], row0: int, act0: int,
                     trace0: int, crash_after: Optional[int] = None):
     """Execute one component's events in order, slicing what each
     event appended.
 
-    Returns ``(journal, segments, likes_delivered)``: the platform
-    activity records the events produced, each event's ``(seq, when,
-    row_lo, row_hi, act_lo, act_hi, trace_lo, trace_hi)`` slice of
-    those records, of the request log beyond ``row0`` and of the
-    sanitizer capture beyond ``trace0``, and the likes delivered per
-    domain.  ``crash_after`` is the child-crash fault decision: after
-    executing that many events the process SIGKILLs itself.
+    Returns ``(segments, likes_delivered)``: each event's ``(seq, when,
+    row_lo, row_hi, act_lo, act_hi, trace_lo, trace_hi)`` slice of the
+    request log beyond ``row0``, of the platform activity log beyond
+    mark ``act0`` and of the sanitizer capture beyond ``trace0``, and
+    the likes delivered per domain.  ``crash_after`` is the child-crash
+    fault decision: after executing that many events the process
+    SIGKILLs itself.
     """
     world = campaign.world
     log = world.api.log
+    activity = world.platform.activity_log
     clock = world.clock
     sanitizing = SANITIZER.enabled
-    journal = world.platform.activity_log.start_journal()
     likes_delivered = {domain: 0 for domain in component}
     segments: List[Tuple[int, int, int, int, int, int, int, int]] = []
     for executed, event in enumerate(events):
@@ -287,7 +289,7 @@ def _execute_events(campaign, component: Sequence[str], events,
         if sanitizing:
             SANITIZER.set_day(event.when // DAY)
         row_lo = len(log) - row0
-        act_lo = len(journal)
+        act_lo = len(activity) - act0
         trace_lo = SANITIZER.capture_mark() - trace0
         network = campaign.networks[event.domain]
         if event.kind == "request":
@@ -300,10 +302,9 @@ def _execute_events(campaign, component: Sequence[str], events,
         else:  # pragma: no cover - excluded by plan eligibility
             raise RuntimeError(f"unshardable event kind {event.kind!r}")
         segments.append((event.seq, event.when, row_lo, len(log) - row0,
-                         act_lo, len(journal), trace_lo,
+                         act_lo, len(activity) - act0, trace_lo,
                          SANITIZER.capture_mark() - trace0))
-    world.platform.activity_log.stop_journal()
-    return journal, segments, likes_delivered
+    return segments, likes_delivered
 
 
 def _execute_component(campaign, component: Sequence[str], events,
@@ -321,8 +322,9 @@ def _execute_component(campaign, component: Sequence[str], events,
     parts = campaign.state_parts()
     additive = {name: parts[name] for name in _ADDITIVE_PARTS
                 if name in parts}
-    bases = {name: part.export_state() for name, part in additive.items()}
+    marks = {name: part.mark() for name, part in additive.items()}
     row0 = len(log)
+    act0 = platform.activity_log.mark()
     # The parent began capture before the pre-pass, so the fork
     # inherited an active capture list; the child's own events start at
     # this mark.
@@ -335,8 +337,8 @@ def _execute_component(campaign, component: Sequence[str], events,
         network = campaign.networks[domain]
         owned_keys.update(network.token_db.values())
         owned_keys.update(network.ip_pool.addresses)
-    journal, segments, likes_delivered = _execute_events(
-        campaign, component, events, request_posts, row0, trace0,
+    segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0, act0, trace0,
         crash_after=crash_after)
     for domain in component:
         owned_keys.update(campaign.networks[domain].token_db.values())
@@ -352,13 +354,13 @@ def _execute_component(campaign, component: Sequence[str], events,
     return ShardDayDelta(
         domains=tuple(component),
         rows=log.export_rows(row0),
-        activity=journal,
+        activity=platform.activity_log.export_delta(act0),
         trace=SANITIZER.capture_slice(trace0, SANITIZER.capture_mark()),
         segments=segments,
         post_likes=post_likes,
         likes_delivered=likes_delivered,
         states=states,
-        deltas={name: part.export_delta(bases[name])
+        deltas={name: part.export_delta(marks[name])
                 for name, part in additive.items()},
     )
 
@@ -404,9 +406,6 @@ class ShardSupervisor:
             status = 1
             try:
                 os.close(read_fd)
-                # Only the parent may write the shared WAL: the child
-                # exports its rows in the delta instead.
-                campaign.world.api.log.detach_journal()
                 delta = _execute_component(campaign, component, events,
                                            request_posts,
                                            crash_after=crash_after)
@@ -469,27 +468,30 @@ def _reexecute_inline(campaign, component, events,
     The events mutate the parent's own limiter windows, network
     objects, token store, posts and charge counters directly — exactly
     like the serial path — so the returned delta is *reduced*: it
-    carries only the log rows and activity records (rolled back here,
+    carries only the log rows and activity records (truncated here,
     re-applied by the merge in global event order), the trace slices
     and the delivered counts.  Everything else is already in place.
     """
     world = campaign.world
     log = world.api.log
+    activity = world.platform.activity_log
     row0 = len(log)
+    act0 = activity.mark()
     # The parent is still in the sharded day's capture mode, so the
     # re-execution's trace events land on the capture list exactly like
     # a child's would; slicing them per event lets the merge replay
     # them in global order alongside the surviving children's.
     trace0 = SANITIZER.capture_mark()
-    journal, segments, likes_delivered = _execute_events(
-        campaign, component, events, request_posts, row0, trace0)
+    segments, likes_delivered = _execute_events(
+        campaign, component, events, request_posts, row0, act0, trace0)
     rows = log.export_rows(row0)
     log.truncate(row0)
-    world.platform.activity_log.rollback(journal)
+    records = activity.export_delta(act0)
+    activity.truncate(act0)
     return ShardDayDelta(
         domains=tuple(component),
         rows=rows,
-        activity=journal,
+        activity=records,
         trace=SANITIZER.capture_slice(trace0, SANITIZER.capture_mark()),
         segments=segments,
         post_likes={},
@@ -627,12 +629,11 @@ def run_sharded_day(campaign, plan: ShardPlan, events, day_start: int,
                            act_hi))
     stream.sort(key=lambda item: (item[0], item[1]))
     log = api.log
-    record_activity = platform.activity_log.record
+    activity = platform.activity_log
     for when, seq, delta, row_lo, row_hi, act_lo, act_hi in stream:
         if row_hi > row_lo:
             log.append_exported(delta.rows[row_lo:row_hi])
-        for record in delta.activity[act_lo:act_hi]:
-            record_activity(record)
+        activity.apply_delta(delta.activity[act_lo:act_hi])
     parts = campaign.state_parts()
     for delta in deltas:
         for name, state in delta.states.items():

@@ -313,26 +313,33 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # State transfer (sharding deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    def export_delta(self, base: Dict) -> Dict:
-        """What this injector decided since ``base`` (an earlier
-        :meth:`export_state`) — picklable, and safe to apply in another
-        process whose subjects are disjoint from every other delta's."""
-        base_counters = base["counters"]
-        base_draws = base["draws"]
+    def mark(self) -> Dict:
+        """Decision tallies, draw counters and the invalidation count."""
+        return {"counters": dict(self.counters),
+                "draws": dict(self._draws),
+                "invalidations": len(self.invalidations)}
+
+    def export_delta(self, mark: Dict) -> Dict:
+        """What this injector decided since ``mark`` — picklable, and
+        safe to apply in another process whose subjects are disjoint
+        from every other delta's."""
+        mark_counters = mark["counters"]
+        mark_draws = mark["draws"]
         return {
-            "counters": {kind: count - base_counters.get(kind, 0)
+            "counters": {kind: count - mark_counters.get(kind, 0)
                          for kind, count in self.counters.items()
-                         if count != base_counters.get(kind, 0)},
+                         if count != mark_counters.get(kind, 0)},
             "draws": {key: count
                       for key, count in self._draws.items()
-                      if count != base_draws.get(key)},
-            "invalidated": list(
-                self.invalidations[len(base["invalidations"]):]),
+                      if count != mark_draws.get(key)},
+            "invalidated": self.invalidations[mark["invalidations"]:],
         }
 
     def apply_delta(self, delta: Dict) -> None:
-        """Merge a shard child's :meth:`export_delta` into the parent,
-        replaying token invalidations against the parent's store."""
+        """Merge an :meth:`export_delta` in, replaying its token
+        invalidations against this process's store (a shard child's
+        are new to the parent; a checkpoint's token part has already
+        flipped them)."""
         for kind, count in delta["counters"].items():
             self.counters[kind] = self.counters.get(kind, 0) + count
         self._draws.update(delta["draws"])
@@ -342,17 +349,6 @@ class FaultInjector:
                 token = self.tokens.peek(access_token)
                 if token is not None and not token.invalidated:
                     self.tokens.invalidate(access_token, reason=reason)
-
-    def export_state(self) -> Dict:
-        """Full decision state for a campaign checkpoint."""
-        return {"counters": dict(self.counters),
-                "draws": dict(self._draws),
-                "invalidations": list(self.invalidations)}
-
-    def install_state(self, state: Dict) -> None:
-        self.counters = dict(state["counters"])
-        self._draws = dict(state["draws"])
-        self.invalidations = list(state["invalidations"])
 
     def total_injected(self) -> int:
         return sum(self.counters.values())

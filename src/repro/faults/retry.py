@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.telemetry.registry import TELEMETRY
 
@@ -122,8 +122,7 @@ class RetryPolicy:
     def __init__(self, max_retries: int = 3, base_delay: int = 2,
                  max_delay: int = 300, jitter: float = 0.5,
                  breaker_threshold: int = 8,
-                 breaker_cooldown: int = 900,
-                 max_elapsed: Optional[int] = None) -> None:
+                 breaker_cooldown: int = 900) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if base_delay <= 0:
@@ -132,29 +131,16 @@ class RetryPolicy:
             raise ValueError("max_delay must be >= base_delay")
         if jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {jitter}")
-        if max_elapsed is not None and max_elapsed <= 0:
-            raise ValueError(
-                f"max_elapsed must be positive, got {max_elapsed}")
         self.max_retries = max_retries
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.jitter = jitter
-        #: Total simulated backoff budget per retry loop: a loop stops
-        #: early (reason ``"deadline"``) once the *next* computed delay
-        #: would push cumulative backoff past this many sim seconds.
-        #: ``None`` means attempts are the only budget.
-        self.max_elapsed = max_elapsed
         self.breaker = CircuitBreaker(threshold=breaker_threshold,
                                       cooldown=breaker_cooldown)
-        #: Why the most recent giveup stopped: ``"attempts"`` or
-        #: ``"deadline"`` (None until the first giveup).
-        self.last_giveup_reason: Optional[str] = None
         self.counters: Dict[str, int] = {
             "retries": 0,
             "recoveries": 0,
             "giveups": 0,
-            "giveups_attempts": 0,
-            "giveups_deadline": 0,
             "fast_fails": 0,
             "backoff_seconds": 0,
         }
@@ -201,15 +187,8 @@ class RetryPolicy:
         if not self.allow(endpoint, now):
             return code
         counters = self.counters
-        elapsed = 0
-        reason = "attempts"
         for attempt in range(1, self.max_retries + 1):
             delay = self.backoff_delay(endpoint, key, attempt, now)
-            if (self.max_elapsed is not None
-                    and elapsed + delay > self.max_elapsed):
-                reason = "deadline"
-                break
-            elapsed += delay
             counters["retries"] += 1
             counters["backoff_seconds"] += delay
             if TELEMETRY.enabled:
@@ -225,12 +204,9 @@ class RetryPolicy:
                                     endpoint=endpoint)
                 return code
         counters["giveups"] += 1
-        counters["giveups_" + reason] += 1
-        self.last_giveup_reason = reason
         self.breaker.record_failure(endpoint, now)
         if TELEMETRY.enabled:
-            TELEMETRY.count("retry_giveups_total",
-                            endpoint=endpoint, reason=reason)
+            TELEMETRY.count("retry_giveups_total", endpoint=endpoint)
         return code
 
     def run(self, endpoint: str, key: str, now: int, call,

@@ -56,9 +56,9 @@ class GraphApi:
 
     #: Memo caches left out of the state: the IP->ASN memo is a cache
     #: over static pools and the charge-token memo one over the token
-    #: store, so an installed state rebuilds them on demand (install
-    #: clears the charge memo) and export_state carries only the
-    #: charge counters.
+    #: store, whose objects keep their identity through a delta (see
+    #: TokenStore.apply_delta), so the deltas carry only the charge
+    #: counters.
     _TRANSIENT = ("_asn_cache", "_charge_token_cache")
 
     def __init__(self, clock: SimClock, platform: SocialPlatform,
@@ -268,22 +268,14 @@ class GraphApi:
     # ------------------------------------------------------------------
     # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, int]:
+    def mark(self) -> Dict[str, int]:
         return dict(self.charge_counters)
 
-    def install_state(self, counters: Dict[str, int]) -> None:
-        self.charge_counters.clear()
-        self.charge_counters.update(counters)
-        # The charge memo caches (token, app, granted) triples; the
-        # restored token store mutated the underlying objects in place,
-        # but grant verdicts may have changed — drop the memo wholesale.
-        self._charge_token_cache.clear()
-
-    def export_delta(self, base: Dict[str, int]) -> Dict[str, int]:
-        """Charge-counter increments since ``base``."""
-        return {key: value - base.get(key, 0)
+    def export_delta(self, mark: Dict[str, int]) -> Dict[str, int]:
+        """Charge-counter increments since ``mark``."""
+        return {key: value - mark.get(key, 0)
                 for key, value in self.charge_counters.items()
-                if value != base.get(key, 0)}
+                if value != mark.get(key, 0)}
 
     def apply_delta(self, delta: Dict[str, int]) -> None:
         for key, value in delta.items():

@@ -148,9 +148,10 @@ class RequestLog:
     def detach_journal(self):
         """Stop journaling; returns the detached journal (or ``None``).
 
-        Used to suspend the WAL while rows are *replayed from* it on
-        resume, and in forked shard children (only the parent may write
-        the shared journal — children export deltas instead).
+        Used when a journaled campaign ends or crashes, and to suspend
+        the WAL for a sharded day before any child forks (only the
+        parent may write the shared journal: the day merge journals the
+        children's rows in serial order).
         """
         journal = self._journal
         self._journal = None

@@ -247,21 +247,6 @@ class PolicyEnforcer:
         / ``"weekly"`` / ``"token"``).
         """
         self._sync()
-        if self._ip_day_limiter is None and self._ip_week_limiter is None:
-            # Fast path while the §6.4 IP limits are off: only the token
-            # budget is live.
-            limiter = self._token_limiter
-            until = limiter._saturated_until.get(token)
-            if until is not None:
-                if now < until:
-                    return "token"
-                del limiter._saturated_until[token]
-            events = limiter._evict(token, now)
-            if len(events) >= limiter.limit:
-                limiter.mark_saturated(token, events)
-                return "token"
-            events.append(now)
-            return None
         if source_ip is not None:
             day_events = week_events = None
             day = self._ip_day_limiter

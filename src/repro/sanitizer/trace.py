@@ -81,8 +81,8 @@ def _fold(chain: bytes, pending: bytearray) -> bytes:
 
     Fold points alter later chain values, so they must line up across
     compared runs: sample positions and day seals are functions of the
-    per-stream event count alone, and checkpoint export (the only
-    other fold) happens at day boundaries, where the buffered bytes
+    per-stream event count alone, and a checkpoint's delta export (the
+    only other fold) happens at day boundaries, where the buffered bytes
     are exactly what the next day seal would fold anyway.
     """
     if not pending:
@@ -94,7 +94,7 @@ def _fold(chain: bytes, pending: bytearray) -> bytes:
 
 
 class _StreamState:
-    """Mutable per-stream trace state (picklable; see export_state)."""
+    """Mutable per-stream trace state (picklable; see export_delta)."""
 
     __slots__ = ("day", "seq", "total", "chain", "pending", "epochs",
                  "samples", "stride", "ring")
@@ -296,26 +296,6 @@ class SanitizerTrace:
     # ------------------------------------------------------------------
     # State transfer (checkpoints; resume convergence)
     # ------------------------------------------------------------------
-    def export_state(self) -> dict:
-        """Full picklable snapshot (pending bytes folded first, which
-        is digest-neutral: fold points depend only on event counts)."""
-        streams = {}
-        for name, state in self._streams.items():
-            state.chain = _fold(state.chain, state.pending)
-            streams[name] = {
-                "day": state.day,
-                "seq": state.seq,
-                "total": state.total,
-                "chain": state.chain,
-                "epochs": list(state.epochs),
-                "samples": {day: list(entries)
-                            for day, entries in state.samples.items()},
-                "stride": state.stride,
-                "ring": list(state.ring),
-            }
-        return {"streams": streams, "day": self._day,
-                "last_clock": self._last_clock}
-
     # A day checkpoint carries only what each stream recorded since the
     # previous day's mark: epochs and ring events append, and a day's
     # samples change only while that day is the stream's open day.
@@ -327,8 +307,9 @@ class SanitizerTrace:
     def export_delta(self, mark: Dict[str, Tuple[int, int]]) -> dict:
         """Each stream's growth since ``mark``.
 
-        Pending bytes are folded first, exactly as :meth:`export_state`
-        folds them, so a checkpointed run keeps the same fold points.
+        Pending bytes are folded first; at the day boundary where a
+        checkpoint sits, that is the fold the next day seal would do
+        anyway (see :func:`_fold`).
         """
         streams = {}
         for name, state in self._streams.items():

@@ -33,62 +33,47 @@ class ActivityRecord:
 
 
 class ActivityLog:
-    """Append-only store of :class:`ActivityRecord` indexed by actor."""
+    """Append-only store of :class:`ActivityRecord` indexed by actor.
+
+    Records are kept once in append order and once per actor, so a mark
+    is a record count and everything since it a slice.
+    """
 
     def __init__(self) -> None:
+        self._records: List[ActivityRecord] = []
         self._by_actor: Dict[str, List[ActivityRecord]] = {}
-        self._total = 0
-        self._journal: Optional[List[ActivityRecord]] = None
 
     def record(self, record: ActivityRecord) -> None:
+        self._records.append(record)
         self._by_actor.setdefault(record.actor_id, []).append(record)
-        self._total += 1
-        if self._journal is not None:
-            self._journal.append(record)
 
-    def start_journal(self) -> List[ActivityRecord]:
-        """Start mirroring appends into a side list (shard export)."""
-        self._journal = []
-        return self._journal
+    def mark(self) -> int:
+        """Records appended so far (see :meth:`export_delta`)."""
+        return len(self._records)
 
-    def stop_journal(self) -> None:
-        self._journal = None
+    def export_delta(self, mark: int) -> List[ActivityRecord]:
+        """Records appended since ``mark``, oldest first."""
+        return self._records[mark:]
 
-    def rollback(self, journal: List[ActivityRecord]) -> None:
-        """Un-append every record in ``journal`` (newest last).
+    def apply_delta(self, delta: List[ActivityRecord]) -> None:
+        for record in delta:
+            self.record(record)
+
+    def truncate(self, mark: int) -> None:
+        """Un-append every record since ``mark``.
 
         Shard-worker supervision re-executes a quarantined component
-        inline, then rolls its activity back so the day merge can
+        inline, then truncates its activity so the day merge can
         re-interleave it with the other components' records in global
-        event order.  Each record must be its actor's current tail.
+        event order.
         """
-        for record in reversed(journal):
-            records = self._by_actor[record.actor_id]
-            popped = records.pop()
-            if popped is not record:  # pragma: no cover - misuse guard
-                records.append(popped)
-                raise ValueError(
-                    "rollback journal does not match the log tail")
+        by_actor = self._by_actor
+        for record in reversed(self._records[mark:]):
+            records = by_actor[record.actor_id]
+            records.pop()
             if not records:
-                del self._by_actor[record.actor_id]
-            self._total -= 1
-
-    def mark(self) -> Dict[str, int]:
-        """Per-actor record counts (see :meth:`export_delta`)."""
-        return {actor: len(records)
-                for actor, records in self._by_actor.items()}
-
-    def export_delta(self, mark: Dict[str, int]
-                     ) -> Dict[str, List[ActivityRecord]]:
-        """Per-actor records appended since ``mark``."""
-        return {actor: records[mark.get(actor, 0):]
-                for actor, records in self._by_actor.items()
-                if len(records) > mark.get(actor, 0)}
-
-    def apply_delta(self, delta: Dict[str, List[ActivityRecord]]) -> None:
-        for records in delta.values():
-            for record in records:
-                self.record(record)
+                del by_actor[record.actor_id]
+        del self._records[mark:]
 
     def for_actor(self, actor_id: str) -> List[ActivityRecord]:
         """All activity by ``actor_id``, oldest first."""
@@ -103,4 +88,4 @@ class ActivityLog:
         return merged
 
     def __len__(self) -> int:
-        return self._total
+        return len(self._records)

@@ -222,7 +222,8 @@ class SocialPlatform:
     # rebuilds deterministically; each day checkpoint carries only the
     # growth beyond the previous day's mark.
     def mark(self) -> Dict[str, object]:
-        """Sizes of every registry, engagement list and activity list."""
+        """Sizes of every registry and engagement list, and the
+        activity log's mark."""
         return {
             "accounts": len(self.accounts),
             "posts": len(self.posts),

@@ -11,9 +11,10 @@ Layout:
 
 - :mod:`repro.telemetry.registry` — counters/gauges/histograms keyed by
   name + sorted label tuples (integer-valued, so merges are exact).
-  The registry is one of the campaign's state parts: checkpoints carry
-  its ``export_state()``, and a shard worker ships its
-  ``export_delta()`` home for the parent's ``apply_delta()``.
+  The registry is one of the campaign's state parts and moves as a
+  delta: a day checkpoint carries its ``export_delta()`` against the
+  previous day's ``mark()``, and a shard worker ships one against its
+  start-of-day mark home for the parent's ``apply_delta()``.
 - :mod:`repro.telemetry.tracing` — span tree over stages, campaign
   days, delivery waves and shard children; Chrome-trace + text export.
 - :mod:`repro.telemetry.export` — Prometheus text exposition, JSON and

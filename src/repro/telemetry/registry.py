@@ -219,55 +219,46 @@ class TelemetryRegistry:
         return digest.hexdigest()
 
     # -- state transfer (checkpoints, shard deltas) --------------------
-    def export_state(self) -> Dict[str, object]:
-        """Full copy of the recorded series."""
+    def mark(self) -> Dict[str, object]:
+        """A copy of the recorded series (see :meth:`export_delta`)."""
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
-            "hist_bounds": dict(self._hist_bounds),
             "hist": {key: list(buckets)
                      for key, buckets in self._hist.items()},
             "hist_sum": dict(self._hist_sum),
         }
 
-    def install_state(self, state: Mapping[str, object]) -> None:
-        """Replace all series with a previously exported state."""
-        self._counters = dict(state["counters"])  # type: ignore[arg-type]
-        self._gauges = dict(state["gauges"])  # type: ignore[arg-type]
-        self._hist_bounds = dict(
-            state["hist_bounds"])  # type: ignore[arg-type]
-        self._hist = {key: list(buckets) for key, buckets
-                      in state["hist"].items()}  # type: ignore[union-attr]
-        self._hist_sum = dict(state["hist_sum"])  # type: ignore[arg-type]
-
-    def export_delta(self, base: Mapping[str, object]) -> Dict[str, object]:
-        """Increments since ``base`` (an earlier :meth:`export_state`).
+    def export_delta(self, mark: Mapping[str, object]) -> Dict[str, object]:
+        """Increments since ``mark``.
 
         Counters, histogram buckets and sums ship as differences,
         gauges as last writes, and bucket bounds whole (a family may be
-        first observed after ``base``).
+        first observed after ``mark``).  A series first recorded after
+        ``mark`` ships even at zero: it exists in the registry all the
+        same.
         """
         def increments(current, before):
             return {key: value - before.get(key, 0)
                     for key, value in current.items()
-                    if value != before.get(key, 0)}
+                    if key not in before or value != before[key]}
 
-        base_gauges: Mapping[MetricKey, int] = base["gauges"]  # type: ignore[assignment]
-        base_hist: Mapping[MetricKey, List[int]] = base["hist"]  # type: ignore[assignment]
+        mark_gauges: Mapping[MetricKey, int] = mark["gauges"]  # type: ignore[assignment]
+        mark_hist: Mapping[MetricKey, List[int]] = mark["hist"]  # type: ignore[assignment]
         hist: Dict[MetricKey, List[int]] = {}
         for key, buckets in self._hist.items():
-            before = base_hist.get(key)
+            before = mark_hist.get(key)
             diff = (list(buckets) if before is None
                     else [b - a for a, b in zip(before, buckets)])
             if any(diff):
                 hist[key] = diff
         return {
-            "counters": increments(self._counters, base["counters"]),
+            "counters": increments(self._counters, mark["counters"]),
             "gauges": {key: value for key, value in self._gauges.items()
-                       if base_gauges.get(key) != value},
+                       if mark_gauges.get(key) != value},
             "hist_bounds": dict(self._hist_bounds),
             "hist": hist,
-            "hist_sum": increments(self._hist_sum, base["hist_sum"]),
+            "hist_sum": increments(self._hist_sum, mark["hist_sum"]),
         }
 
     def apply_delta(self, delta: Mapping[str, object]) -> None:

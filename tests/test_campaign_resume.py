@@ -179,9 +179,11 @@ def test_a_torn_middle_link_ends_the_chain(tmp_path, reference):
 
 
 def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
-    """Journals written before the checkpoint chain carry whole-state
-    checkpoints under format ``repro-journal-v1``; a resume refuses
-    one instead of applying its checkpoints as a chain."""
+    """Journals whose checkpoints ship a part whole that is now a delta
+    part are refused instead of applied as a chain: ``repro-journal-v1``
+    (whole-state checkpoints) and ``-v2`` (whole telemetry, charge
+    counters and fault decisions, which applied as deltas would double
+    every counter)."""
     journal = tmp_path / "journal"
     crashed = _run_driver("--journal", journal, "--kill-day", 3)
     assert crashed.returncode == -signal.SIGKILL, (
@@ -189,14 +191,15 @@ def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
         f"{crashed.stderr[-2000:]}")
     meta_path = journal / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert meta["format"] == "repro-journal-v2"
-    meta["format"] = "repro-journal-v1"
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    assert meta["format"] == "repro-journal-v3"
+    for old_format in ("repro-journal-v1", "repro-journal-v2"):
+        meta["format"] = old_format
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
-    resumed = _run_driver("--journal", journal)
-    assert resumed.returncode != 0
-    assert "RecoveryError" in resumed.stderr
-    assert "repro-journal-v1" in resumed.stderr
+        resumed = _run_driver("--journal", journal)
+        assert resumed.returncode != 0
+        assert "RecoveryError" in resumed.stderr
+        assert old_format in resumed.stderr
 
 
 def test_torn_tail_is_detected_truncated_and_converges(tmp_path):

@@ -260,7 +260,7 @@ def test_delta_chain_continues_like_the_checkpointed_trace():
     for trace in (source, twin):
         record(trace, 2, 5)
     assert twin.fingerprint() == source.fingerprint()
-    assert twin.export_state() == source.export_state()
+    assert twin.export_delta({}) == source.export_delta({})
 
 
 def test_clock_reads_deduplicate_by_value():

@@ -148,3 +148,30 @@ def test_activity_log_merged_sorted(world):
         [alice.account_id, bob.account_id])
     assert [r.verb for r in merged] == ["post", "like"]
     assert merged[0].created_at <= merged[1].created_at
+
+
+def test_activity_log_truncate_restores_the_mark(world):
+    platform = world.platform
+    log = platform.activity_log
+    alice = platform.register_account("Alice")
+    bob = platform.register_account("Bob")
+    post = platform.create_post(alice.account_id, "x")
+    mark = log.mark()
+    alice_before = log.for_actor(alice.account_id)
+
+    carol = platform.register_account("Carol")
+    platform.like_post(bob.account_id, post.post_id)
+    platform.create_post(alice.account_id, "y")
+    platform.like_post(carol.account_id, post.post_id)
+    assert len(log) == mark + 3
+    assert [r.actor_id for r in log.export_delta(mark)] == [
+        bob.account_id, alice.account_id, carol.account_id]
+
+    log.truncate(mark)
+    assert len(log) == mark
+    assert log.for_actor(alice.account_id) == alice_before
+    # Bob and Carol acted only after the mark: truncating empties them,
+    # and their actors are dropped, not left as empty lists.
+    assert bob.account_id not in log._by_actor
+    assert carol.account_id not in log._by_actor
+    assert log.export_delta(mark) == []

@@ -1,10 +1,11 @@
-"""The state-transfer protocol: every stateful subsystem is a part of
-``CountermeasureCampaign.state_parts()``, and parts round-trip through
-``export_state()``/``install_state()`` or, for the parts that grow with
-the campaign, ``mark()``/``export_delta()``/``apply_delta()``.
+"""The state-transfer protocols: every stateful subsystem is a part of
+``CountermeasureCampaign.state_parts()`` (or owned by one), and each
+part moves one way, whole through ``export_state()``/
+``install_state()`` or since a mark through ``mark()``/
+``export_delta()``/``apply_delta()``, never both.
 
 Day checkpoints and shard deltas are both payloads of the registered
-parts, so a class that grows the protocol but is missing from the
+parts, so a class that grows a protocol but is missing from the
 table would silently fall out of resume and shard merges.  A part that
 is registered but drops an attribute is caught by the day-checkpoint
 round trip: the pickled chain of checkpoints installed into a rebuilt
@@ -46,38 +47,52 @@ from repro.graphapi.ratelimit import PolicyEnforcer, SlidingWindowLimiter
 from repro.sanitizer.trace import SANITIZER
 from repro.shorturl.shortener import UrlShortener
 from repro.sim.clock import DAY, SimClock
+from repro.socialnet.activity import ActivityLog
+from repro.socialnet.platform import SocialPlatform
 from repro.telemetry.registry import TELEMETRY
 
 NETWORKS = ("fb-autolikers.com", "autolike.vn")
 SCALE = 0.002
 
-#: Protocol classes that are not parts themselves: each is exported
-#: and installed by the part that owns it.
+#: The two transfer protocols: a part moves whole or since a mark.
+WHOLE = ("export_state", "install_state")
+MARKED = ("mark", "export_delta", "apply_delta")
+
+#: Protocol classes that are not parts themselves: each moves with the
+#: part that owns it.
 OWNED_BY = {
     # One limiter per window; PolicyEnforcer.export_state() carries
     # all of them (and rebuilds them when a limit changes).
     SlidingWindowLimiter: PolicyEnforcer,
+    # The platform's mark and delta carry its activity log's.
+    ActivityLog: SocialPlatform,
 }
 
 
 def _protocol_classes():
-    """Every class in ``repro`` that defines both protocol methods."""
-    found = set()
+    """Every class in ``repro`` that defines a protocol method, mapped
+    to the protocols it defines any method of."""
+    found = {}
     for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
         if module_info.name.rsplit(".", 1)[-1] == "__main__":
             continue
         module = importlib.import_module(module_info.name)
         for _, cls in inspect.getmembers(module, inspect.isclass):
-            if (cls.__module__ == module.__name__
-                    and "export_state" in vars(cls)
-                    and "install_state" in vars(cls)):
-                found.add(cls)
+            if cls.__module__ != module.__name__:
+                continue
+            protocols = [protocol for protocol in (WHOLE, MARKED)
+                         if any(name in vars(cls) for name in protocol)]
+            if protocols:
+                found[cls] = protocols
     return found
 
 
 @contextlib.contextmanager
 def _planes_on():
-    """Telemetry and the sanitizer on, then off and empty again."""
+    """Telemetry and the sanitizer empty and on, then off and empty
+    again."""
+    TELEMETRY.reset()
+    SANITIZER.reset()
     TELEMETRY.enable()
     SANITIZER.enable()
     try:
@@ -113,15 +128,22 @@ def test_every_state_class_is_a_registered_part():
     for required in ("faults", "telemetry", "sanitizer"):
         assert required in parts
     classes = _protocol_classes()
-    assert len(classes) >= 10
-    for cls in sorted(classes, key=lambda c: c.__qualname__):
+    assert len(classes) >= 15
+    for cls, protocols in sorted(classes.items(),
+                                 key=lambda item: item[0].__qualname__):
+        name = f"{cls.__module__}.{cls.__qualname__}"
+        assert len(protocols) == 1, (
+            f"{name} moves both whole and since a mark")
+        missing = [method for method in protocols[0]
+                   if method not in vars(cls)]
+        assert not missing, f"{name} lacks {', '.join(missing)}"
         owner = OWNED_BY.get(cls)
         if owner is not None:
-            assert owner in registered, cls.__qualname__
+            assert owner in registered, name
             continue
         assert cls in registered, (
-            f"{cls.__module__}.{cls.__qualname__} defines export_state/"
-            f"install_state but is not a state_parts() entry")
+            f"{name} defines {'/'.join(protocols[0])} but is not a "
+            f"state_parts() entry")
 
 
 def _attrs(obj):
@@ -223,11 +245,11 @@ def _subsystems(campaign, planes):
 
 def _run_days(campaign, days):
     """Run campaign ``days``; returns the log digest and both planes'
-    exports."""
+    contents."""
     for day in days:
         campaign._run_day(day)
-    return (campaign.world.api.log.digest(), TELEMETRY.export_state(),
-            SANITIZER.export_state())
+    return (campaign.world.api.log.digest(), TELEMETRY.snapshot(),
+            SANITIZER.manifest())
 
 
 def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
@@ -299,8 +321,7 @@ def _platform_objects(delta):
         likes += page_likes
     keys += [("like", like.liker_id, like.object_id) for like in likes]
     keys += [("comment", comment.comment_id) for comment in comments]
-    for records in delta["activity"].values():
-        keys += [("activity", astuple(record)) for record in records]
+    keys += [("activity", astuple(record)) for record in delta["activity"]]
     return keys
 
 

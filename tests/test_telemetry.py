@@ -107,44 +107,43 @@ def test_fingerprint_excludes_requested_families(registry):
     assert registry.fingerprint() != base
 
 
-def test_export_install_state_roundtrip(registry):
-    registry.count("a_total", 3, kind="x")
-    registry.gauge_set("g", 7)
-    registry.observe("wave_size", 33, stage="campaign")
-    state = registry.export_state()
-    other = TelemetryRegistry()
-    other.install_state(state)
-    assert other.fingerprint() == registry.fingerprint()
-
-
 # ----------------------------------------------------------------------
 # Deltas (the shard merge)
 # ----------------------------------------------------------------------
-def test_delta_capture_and_merge_reproduce_serial_totals(registry):
+def _base(registry):
     registry.count("a_total", 2, kind="x")
     registry.observe("wave_size", 10, stage="campaign")
-    base = registry.export_state()
 
-    # "Child" work on top of the base.
+
+def test_delta_capture_and_merge_reproduce_serial_totals(registry):
+    _base(registry)
+    mark = registry.mark()
+
+    # "Child" work on top of the base, including series first recorded
+    # at zero, which exist all the same.
     registry.count("a_total", 5, kind="x")
     registry.count("b_total", 1)
+    registry.count("zero_total", 0)
     registry.gauge_set("g", 9)
     registry.observe("wave_size", 700, stage="campaign")
+    registry.observe("wave_size", 0, stage="detection")
     serial_print = registry.fingerprint()
-    delta = registry.export_delta(base)
+    delta = registry.export_delta(mark)
 
-    # Rewind to the base and merge the delta back in.
+    # A registry at the base merges the delta back in.
     parent = TelemetryRegistry()
-    parent.install_state(base)
+    parent.enable()
+    _base(parent)
     parent.apply_delta(delta)
     assert parent.fingerprint() == serial_print
+    assert parent.mark() == registry.mark()
 
 
 def test_delta_only_ships_changed_series(registry):
     registry.count("unchanged_total", 4)
-    base = registry.export_state()
+    mark = registry.mark()
     registry.count("changed_total", 1)
-    delta = registry.export_delta(base)
+    delta = registry.export_delta(mark)
     names = {name for name, _ in delta["counters"]}
     assert names == {"changed_total"}
 
