@@ -13,7 +13,8 @@ format):
   directory, the shadow trace) or adds up (the charge counters, the
   fault decisions, the telemetry registry) — as a delta against link
   ``k-1``'s marks, and every other state part whole, so a day's
-  checkpoint costs one day.
+  checkpoint costs one day, to build (the marked parts' deltas read
+  tails) and to write.
 
 Resume protocol.  The campaign world is *rebuilt* deterministically by
 the caller (same seed, same build + pre-campaign sequence), never

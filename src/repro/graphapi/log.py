@@ -33,6 +33,7 @@ import hashlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -273,12 +274,10 @@ class RequestLog:
                 self._like_ok_rows.extend(
                     row0 + i for i, code in enumerate(codes) if code == ok)
         if self._journal is not None:
-            journal_append = self._journal.append_row
-            action_code = _ACTION_CODE[action]
-            for i in range(n):
-                journal_append(
-                    (timestamp, action_code, tokens[i], users[i], apps[i],
-                     target_id, ips[i], asns[i], outcomes[i]))
+            self._journal.append_row(*zip(
+                repeat(timestamp, n), repeat(_ACTION_CODE[action], n),
+                tokens, users, apps, repeat(target_id, n), ips, asns,
+                outcomes))
 
     def append(self, record: RequestRecord) -> None:
         """Append a pre-built record (compatibility path)."""
@@ -306,13 +305,22 @@ class RequestLog:
 
     def append_exported(self, rows: Sequence[tuple]) -> None:
         """Replay :meth:`export_rows` output through :meth:`append_row`,
-        rebuilding interning and every secondary index locally."""
+        rebuilding interning and every secondary index locally.
+
+        The rows are already in the journal's format, so an attached
+        journal takes them all in one call after the log has them.
+        """
+        journal = self.detach_journal()
         append_row = self.append_row
         actions = _ACTIONS
         for (ts, code, token, user, app, target, ip, asn,
              outcome) in rows:
             append_row(ts, actions[code], token, user, app, target, ip,
                        asn, outcome)
+        if journal is not None:
+            self.attach_journal(journal)
+            if rows:
+                journal.append_row(*rows)
 
     def truncate(self, n: int) -> None:
         """Discard rows ``[n:]``, restoring the state after row ``n-1``.

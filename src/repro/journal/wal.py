@@ -113,7 +113,12 @@ class _Segment:
 
 
 class EventJournal:
-    """Hash-chained, day-segmented WAL under one directory."""
+    """Hash-chained, day-segmented WAL under one directory.
+
+    Rows arrive in batches, one :meth:`append_row` call each (a
+    delivery wave's rows, a shard segment, a replayed slice), and each
+    row becomes one frame.
+    """
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -178,20 +183,23 @@ class EventJournal:
             sort_keys=True).encode("utf-8")
         self._write_frame(header)
 
-    def append_row(self, row: tuple) -> None:
-        """Journal one exported request-log row.
+    def append_row(self, *rows: tuple) -> None:
+        """Journal exported request-log rows, one frame each, in order.
 
-        The journal is the request log's durable image: resume replays
-        these rows back into the in-memory log, so the row must carry
-        the live token string — a redacted digest could not reproduce
-        the byte-identical log the recovery contract promises.
+        A batch (a delivery wave's rows, a shard segment, a replayed
+        slice) comes in one call, which counts its frames once.  The
+        journal is the request log's durable image: resume replays
+        these rows back into the in-memory log, so a row must carry the
+        live token string — a redacted digest could not reproduce the
+        byte-identical log the recovery contract promises.
         """
         if self._handle is None:
             raise RuntimeError("no open day segment")
-        self._write_frame(encode_row(row))
-        self._current.rows += 1
+        for row in rows:
+            self._write_frame(encode_row(row))
+        self._current.rows += len(rows)
         if TELEMETRY.enabled:
-            TELEMETRY.count("journal_frames_total", kind="row")
+            TELEMETRY.count("journal_frames_total", len(rows), kind="row")
 
     def seal_day(self) -> None:
         """Seal the open day: seal frame, flush, fsync, close."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.oauth.errors import InvalidTokenError
 from repro.oauth.scopes import Permission, PermissionScope
@@ -68,11 +69,20 @@ class TokenStore:
     every subsequent Graph API call with it fail.
     """
 
+    #: The flip log, left out of the state: only its entries past a
+    #: mark are read, and a resume re-takes its marks after the chain.
+    #: A delta ships the day's issued tokens with their flags and only
+    #: earlier tokens as flips, so a rebuilt store's log lacks the flips
+    #: of tokens issued and invalidated on the same day.
+    _TRANSIENT = ("_flips",)
+
     def __init__(self, clock: SimClock) -> None:
         self._clock = clock
         self._tokens: Dict[str, AccessToken] = {}
         self._by_user_app: Dict[tuple, str] = {}
         self._counter = 0
+        #: Every token whose invalidated flag flipped, in flip order.
+        self._flips: List[AccessToken] = []
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -108,6 +118,7 @@ class TokenStore:
             if old.is_valid(now):
                 old.invalidated = True
                 old.invalidation_reason = "superseded"
+                self._flips.append(old)
         self._tokens[token.token] = token
         self._by_user_app[(user_id, app_id)] = token.token
         return token
@@ -137,6 +148,7 @@ class TokenStore:
             return False
         token.invalidated = True
         token.invalidation_reason = reason
+        self._flips.append(token)
         return True
 
     def invalidate_many(self, token_strings: Iterable[str],
@@ -147,30 +159,32 @@ class TokenStore:
     # ------------------------------------------------------------------
     # State transfer (campaign checkpoints)
     # ------------------------------------------------------------------
-    # Tokens are only ever added, and a token's one later change is its
-    # invalidated flag (set together with its reason), so a checkpoint
-    # carries the tokens issued since the previous day's mark plus the
-    # flags that flipped.
-    def mark(self) -> bytes:
-        """One byte per token, in issue order: its invalidated flag."""
-        return bytes(token.invalidated for token in self._tokens.values())
+    # Tokens are only ever added, in issue order, and a token's one
+    # later change is its invalidated flag, set once together with its
+    # reason and logged in ``_flips``.  So a mark is two counts, and a
+    # checkpoint carries the tokens issued since the previous day's mark
+    # plus the earlier tokens whose flag flipped since: both are tails.
+    def mark(self) -> Tuple[int, int]:
+        """Tokens issued and flips logged so far."""
+        return len(self._tokens), len(self._flips)
 
-    def export_delta(self, mark: bytes) -> Dict:
+    def export_delta(self, mark: Tuple[int, int]) -> Dict:
         """Tokens issued since ``mark`` as plain picklable rows, and the
         earlier tokens whose invalidated flag flipped since, by string.
 
         Scope objects are shared — they are immutable by convention.
         """
-        flipped = []
-        issued = []
-        for index, t in enumerate(self._tokens.values()):
-            if index >= len(mark):
-                issued.append((t.token, t.user_id, t.app_id, t.scope,
-                               t.issued_at, t.expires_at, t.invalidated,
-                               t.invalidation_reason))
-            elif t.invalidated != mark[index]:
-                flipped.append((t.token, t.invalidated,
-                                t.invalidation_reason))
+        issued_since, flips_since = mark
+        new = list(islice(reversed(self._tokens.values()),
+                          len(self._tokens) - issued_since))
+        new.reverse()
+        issued = [(t.token, t.user_id, t.app_id, t.scope, t.issued_at,
+                   t.expires_at, t.invalidated, t.invalidation_reason)
+                  for t in new]
+        new_tokens = {t.token for t in new}
+        flipped = [(t.token, t.invalidated, t.invalidation_reason)
+                   for t in self._flips[flips_since:]
+                   if t.token not in new_tokens]
         return {"counter": self._counter, "flipped": flipped,
                 "issued": issued}
 
@@ -178,14 +192,17 @@ class TokenStore:
         """Apply an :meth:`export_delta` onto the store it was marked on.
 
         Tokens already present keep their *object identity* and flip in
-        place — callers across the simulation (API caches, network token
-        books) hold references to the live objects.  Issued tokens
-        replay :meth:`issue`'s bookkeeping in issue order.
+        place (and are logged as flipped) — callers across the
+        simulation (API caches, network token books) hold references to
+        the live objects.  Issued tokens replay :meth:`issue`'s
+        bookkeeping in issue order.
         """
         self._counter = delta["counter"]
         tokens = self._tokens
         for token, invalidated, reason in delta["flipped"]:
             live = tokens[token]
+            if live.invalidated != invalidated:
+                self._flips.append(live)
             live.invalidated = invalidated
             live.invalidation_reason = reason
         for (token, user_id, app_id, scope, issued_at, expires_at,

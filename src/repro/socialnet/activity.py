@@ -31,6 +31,15 @@ class ActivityRecord:
     via_app_id: Optional[str] = None
     source_ip: Optional[str] = None
 
+    def __reduce__(self):
+        # Pickle as (class, field tuple), not the default per-record
+        # dict of slot names: checkpoints and shard deltas carry every
+        # record of a day.
+        return (ActivityRecord, (
+            self.actor_id, self.verb, self.target_id, self.target_kind,
+            self.target_owner_id, self.created_at, self.via_app_id,
+            self.source_ip))
+
 
 class ActivityLog:
     """Append-only store of :class:`ActivityRecord` indexed by actor.

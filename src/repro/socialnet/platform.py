@@ -8,6 +8,7 @@ internal systems.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional
 
 from repro.sim.clock import SimClock
@@ -23,6 +24,22 @@ from repro.socialnet.errors import (
 )
 from repro.socialnet.page import Page
 from repro.socialnet.post import Comment, Like, Post
+
+
+def _tail(registry: Dict[str, object], count: int) -> list:
+    """The values registered after the first ``count``, oldest first."""
+    tail = list(islice(reversed(registry.values()), len(registry) - count))
+    tail.reverse()
+    return tail
+
+
+def _since(engagement: list, gained: int, target_id: str) -> list:
+    """The last ``gained`` likes or comments of ``target_id``'s list."""
+    if len(engagement) < gained:
+        raise RuntimeError(
+            f"{target_id} holds {len(engagement)} likes or comments, fewer "
+            f"than the {gained} its activity since the mark records")
+    return engagement[len(engagement) - gained:]
 
 
 class SocialPlatform:
@@ -207,7 +224,14 @@ class SocialPlatform:
         self._require_account(account_id).status = AccountStatus.ACTIVE
 
     def remove_like(self, post_id: str, liker_id: str) -> bool:
-        """Remove a fake like (the clean-up step of §6); True if removed."""
+        """Remove a fake like (the clean-up step of §6); True if removed.
+
+        The one write that leaves an activity record without its like,
+        so :meth:`export_delta` cannot count the likes gained since a
+        mark across it.  Only the clean-up pass
+        (:class:`~repro.countermeasures.cleanup.EngagementCleaner`)
+        calls it, and never on a campaign day.
+        """
         post = self.get_post(post_id)
         if not post.liked_by(liker_id):
             return False
@@ -220,46 +244,65 @@ class SocialPlatform:
     # ------------------------------------------------------------------
     # The platform's full state is the built world, which a resume
     # rebuilds deterministically; each day checkpoint carries only the
-    # growth beyond the previous day's mark.
-    def mark(self) -> Dict[str, object]:
-        """Sizes of every registry and engagement list, and the
-        activity log's mark."""
+    # growth beyond the previous day's mark.  Registries are
+    # insertion-ordered dicts, so what was registered since a count is
+    # a tail, and every like and comment writes exactly one activity
+    # record, so the activity since the mark names the engagement that
+    # earlier posts and pages gained.
+    def mark(self) -> Dict[str, int]:
+        """Sizes of the three registries and the activity log's mark."""
         return {
             "accounts": len(self.accounts),
             "posts": len(self.posts),
             "pages": len(self.pages),
-            "post_marks": {post_id: (len(post.likes), len(post.comments))
-                           for post_id, post in self.posts.items()},
-            "page_marks": {page_id: len(page.likes)
-                           for page_id, page in self.pages.items()},
             "activity": self.activity_log.mark(),
         }
 
-    def export_delta(self, mark: Dict[str, object]) -> Dict[str, object]:
+    def export_delta(self, mark: Dict[str, int]) -> Dict[str, object]:
         """Everything appended since ``mark``.
 
-        Registries are insertion-ordered dicts, so "everything beyond
-        the marked count" is a stable slice; engagement on pre-existing
-        objects ships as per-object suffixes.
+        New accounts, posts and pages ship whole, their engagement
+        inside; a post or page registered before the mark ships the
+        suffixes of its like and comment lists that its activity
+        records since the mark count, in order of first activity.
+        Raises ``RuntimeError`` if an object holds fewer likes or
+        comments than its activity counts (see :meth:`remove_like`).
         """
+        new_posts = _tail(self.posts, mark["posts"])
+        new_pages = _tail(self.pages, mark["pages"])
+        fresh = {post.post_id for post in new_posts}
+        fresh.update(page.page_id for page in new_pages)
+        activity = self.activity_log.export_delta(mark["activity"])
+        # (kind, id) of an earlier post or page -> [likes, comments] it
+        # gained since the mark, in order of first activity.
+        gained: Dict[tuple, List[int]] = {}
+        for record in activity:
+            if record.verb == "post" or record.target_id in fresh:
+                continue
+            key = (record.target_kind, record.target_id)
+            counts = gained.get(key)
+            if counts is None:
+                counts = gained[key] = [0, 0]
+            counts[1 if record.verb == "comment" else 0] += 1
         touched_posts = []
-        for post_id, (n_likes, n_comments) in mark["post_marks"].items():
-            post = self.posts[post_id]
-            if len(post.likes) > n_likes or len(post.comments) > n_comments:
-                touched_posts.append((post_id, post.likes[n_likes:],
-                                      post.comments[n_comments:]))
         touched_pages = []
-        for page_id, n_likes in mark["page_marks"].items():
-            page = self.pages[page_id]
-            if len(page.likes) > n_likes:
-                touched_pages.append((page_id, page.likes[n_likes:]))
+        for (kind, target_id), (n_likes, n_comments) in gained.items():
+            if kind == "post":
+                post = self.posts[target_id]
+                touched_posts.append(
+                    (target_id, _since(post.likes, n_likes, target_id),
+                     _since(post.comments, n_comments, target_id)))
+            else:
+                touched_pages.append(
+                    (target_id, _since(self.pages[target_id].likes,
+                                       n_likes, target_id)))
         return {
-            "new_accounts": list(self.accounts.values())[mark["accounts"]:],
-            "new_posts": list(self.posts.values())[mark["posts"]:],
-            "new_pages": list(self.pages.values())[mark["pages"]:],
+            "new_accounts": _tail(self.accounts, mark["accounts"]),
+            "new_posts": new_posts,
+            "new_pages": new_pages,
             "touched_posts": touched_posts,
             "touched_pages": touched_pages,
-            "activity": self.activity_log.export_delta(mark["activity"]),
+            "activity": activity,
         }
 
     def apply_delta(self, delta: Dict[str, object]) -> None:

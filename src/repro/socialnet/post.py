@@ -24,6 +24,11 @@ class Like:
     via_app_id: Optional[str] = None
     source_ip: Optional[str] = None
 
+    def __reduce__(self):
+        # As ActivityRecord: a field tuple, not a slot-state dict.
+        return (Like, (self.liker_id, self.object_id, self.created_at,
+                       self.via_app_id, self.source_ip))
+
 
 @dataclass(slots=True)
 class Comment:
@@ -36,6 +41,12 @@ class Comment:
     created_at: int
     via_app_id: Optional[str] = None
     source_ip: Optional[str] = None
+
+    def __reduce__(self):
+        # As ActivityRecord: a field tuple, not a slot-state dict.
+        return (Comment, (self.comment_id, self.author_id, self.post_id,
+                          self.text, self.created_at, self.via_app_id,
+                          self.source_ip))
 
 
 @dataclass

@@ -14,6 +14,8 @@ from repro.journal.wal import (
     JournalCorruption,
     SimulatedCrash,
 )
+from repro.sanitizer.trace import SANITIZER
+from repro.telemetry.registry import TELEMETRY
 
 ROW_A = (100, 0, "EAAB0001", "u1", "app1", "p1", "10.0.0.1", 64500, "ok")
 ROW_B = (160, 0, "EAAB0002", "u2", "app1", "p2", "10.0.0.2", 64500,
@@ -205,3 +207,51 @@ def test_journaled_log_mirrors_appends(tmp_path):
     assert log.detach_journal() is journal
     journal.seal_day()
     assert list(journal.replay_rows()) == log.export_rows(0)
+
+
+def _journaled_day(directory, fill):
+    """The segment bytes, row-frame count and sanitizer manifest of a
+    one-day journal whose rows ``fill(log, journal)`` appends."""
+    for plane in (TELEMETRY, SANITIZER):
+        plane.reset()
+        plane.enable()
+    try:
+        journal = EventJournal.create(directory, {})
+        journal.begin_day(1)
+        log = RequestLog()
+        log.attach_journal(journal)
+        fill(log, journal)
+        journal.seal_day()
+        with open(_segment(directory, 1), "rb") as handle:
+            return (handle.read(),
+                    TELEMETRY.counter_value("journal_frames_total",
+                                            kind="row"),
+                    SANITIZER.manifest())
+    finally:
+        for plane in (TELEMETRY, SANITIZER):
+            plane.disable()
+            plane.reset()
+
+
+def test_a_batch_journals_the_frames_of_one_call_per_row(tmp_path):
+    # extend_like_rows and append_exported hand the journal each batch
+    # in one call: the frames, the chain, the row-frame count and the
+    # sanitizer's per-frame events are those of one call per row.
+    wave = (["EAAB0001", "EAAB0002"], ["u1", "u2"], ["app1", "app1"],
+            ["10.0.0.1", None], [64500, None], ["ok", "token_limit"])
+
+    def per_row(log, journal):
+        for row in zip(*wave):
+            token, user, app, ip, asn, outcome = row
+            log.append_row(100, ApiAction.LIKE_POST, token, user, app,
+                           "p1", ip, asn, outcome)
+        for row in (ROW_A, ROW_B, ROW_C):
+            journal.append_row(row)
+
+    def batched(log, journal):
+        log.extend_like_rows(100, ApiAction.LIKE_POST, "p1", *wave)
+        log.append_exported([ROW_A, ROW_B, ROW_C])
+
+    expected = _journaled_day(str(tmp_path / "per_row"), per_row)
+    assert expected[1] == 5
+    assert _journaled_day(str(tmp_path / "batched"), batched) == expected
