@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from repro.collusion.comments import CommentDictionary
 from repro.collusion.monetization import (
@@ -90,25 +90,26 @@ class MemberDirectory:
     def __len__(self) -> int:
         return len(self._accounts)
 
-    def draw_member(self, exclude: Container[str],
-                    country_mix: Optional[Sequence[Tuple[str, float]]] = None) -> str:
+    def draw_member(self, exclude: Container[str]) -> str:
         """An account for a new membership: usually fresh, sometimes an
         existing colluder from another network.
 
         ``exclude`` is only asked ``in``, so a caller passes its live
-        token DB itself rather than a copy: a recruit costs O(1), not
-        O(members).
+        token DB itself rather than a copy, and a fresh account's
+        country comes from the geo database's prebuilt cumulative
+        weights: a recruit costs O(1), not O(members), and makes only
+        its own draws.
         """
         if self._accounts and self._rng.random() < self._overlap_rate:
             for _ in range(8):  # rejection-sample around exclusions
                 candidate = self._rng.choice(self._accounts)
                 if candidate not in exclude:
                     return candidate
-        return self._create_account(country_mix)
+        return self._create_account()
 
-    def _create_account(self, country_mix) -> str:
+    def _create_account(self) -> str:
         self._counter += 1
-        country = self._geo.sample_country(self._rng, country_mix)
+        country = self._geo.sample_country(self._rng)
         account = self._platform.register_account(  # reprolint: disable=RL301 — signup is the platform's first-party web flow; no app token is involved, so there is nothing for the Graph API to meter
             f"Colluding User {self._counter}", country=country)
         self._accounts.append(account.account_id)
@@ -155,6 +156,9 @@ class CollusionNetwork:
         self.token_db: Dict[str, str] = {}
         self._member_list: List[str] = []
         self._member_index: Dict[str, int] = {}
+        # The small-pool sweep's positions: one request's exclusion set
+        # and the member positions it left free (see _sample_member).
+        self._free_positions: Optional[Tuple[Set[str], List[int]]] = None
         # Members whose tokens died, in drop order (a dict used as an
         # insertion-ordered set: the replenishment shuffle reads it).
         self.dead_members: Dict[str, None] = {}
@@ -255,18 +259,12 @@ class CollusionNetwork:
         return (account_id in self.token_db
                 or account_id in self.dead_members)
 
-    def _country_mix(self):
-        # Member countries follow the site's visitor geography; reuse the
-        # default platform mix unless the network is strongly regional.
-        return None
-
     def join(self, account_id: Optional[str] = None) -> str:
         """One user joins: click the short URL, install the app through
         the implicit flow, paste the token into the site.  Returns the
         member's account id."""
         if account_id is None:
-            account_id = self.directory.draw_member(
-                exclude=self.token_db, country_mix=self._country_mix())
+            account_id = self.directory.draw_member(exclude=self.token_db)
         country = self.world.platform.get_account(account_id).country
         if self.short_url_slug is not None:
             self.world.shortener.click(
@@ -306,6 +304,7 @@ class CollusionNetwork:
         if account_id not in self.token_db:
             self._member_index[account_id] = len(self._member_list)
             self._member_list.append(account_id)
+            self._free_positions = None
         self.token_db[account_id] = token_string
         self.member_countries[account_id] = country
 
@@ -320,6 +319,7 @@ class CollusionNetwork:
             self._member_list[idx] = last
             self._member_index[last] = idx
         self.dead_members[account_id] = None
+        self._free_positions = None
 
     def refresh_all_tokens(self) -> int:
         """Re-harvest tokens from every member whose token is no longer
@@ -350,12 +350,18 @@ class CollusionNetwork:
     # State transfer (shard deltas and campaign checkpoints)
     # ------------------------------------------------------------------
     #: Fields never transferred: shared subsystems owned by the world,
-    #: immutable wiring, and the bound-method RNG shortcuts (rebuilt on
-    #: install).
+    #: immutable wiring, the bound-method RNG shortcuts (rebuilt on
+    #: install) and the sweep's free positions (dropped on install).
     _SHARD_SKIP_FIELDS = frozenset((
         "world", "directory", "ip_pool", "app", "profile",
         "comment_dictionary", "_rng_random", "_getrandbits",
+        "_free_positions",
     ))
+
+    #: The sweep's free positions, left out of the state: they belong
+    #: to the exclusion set of the request that listed them, which no
+    #: later request passes again, so a rebuilt network lists its own.
+    _TRANSIENT = ("_free_positions",)
 
     def export_state(self) -> dict:
         """Every mutable, network-owned field, as a picklable dict."""
@@ -369,6 +375,7 @@ class CollusionNetwork:
         it)."""
         self.__dict__.update(state)
         self._rng_random, self._getrandbits = hot_draw_bindings(self.rng)
+        self._free_positions = None
 
     # ------------------------------------------------------------------
     # Sampling
@@ -379,8 +386,18 @@ class CollusionNetwork:
         Hot-set networks prefer their cached working set
         (``token_reuse_bias`` of the time) and fall back to the full DB
         when the working set is exhausted for this request; if random
-        probing keeps hitting exclusions (tiny pools), a linear sweep
-        finds any remaining member.
+        probing keeps hitting exclusions (tiny pools), a sweep from a
+        random start finds the first member, cyclically, that
+        ``exclude`` does not hold, or ``None``.
+
+        ``exclude`` is one request's set of members already used: the
+        request passes the same set to every pick and only adds to it.
+        The sweep lists that set's free member positions at its first
+        use and bisects the list after that, pruning a position once
+        its member has been excluded, so a request that sweeps many
+        times walks its pool about once.  Adding a member adds a
+        position and dropping one moves the last member into its place,
+        so either discards the list.
         """
         members = self._member_list
         if not members:
@@ -421,10 +438,21 @@ class CollusionNetwork:
         start = getrandbits(bits)
         while start >= size:
             start = getrandbits(bits)
-        for i in range(size):
-            member = members[(start + i) % size]
+        listed = self._free_positions
+        if listed is not None and listed[0] is exclude:
+            free = listed[1]
+        else:
+            free = [i for i, member in enumerate(members)
+                    if member not in exclude]
+            self._free_positions = (exclude, free)
+        i = bisect_left(free, start)
+        while free:
+            if i == len(free):
+                i = 0
+            member = members[free[i]]
             if member not in exclude:
                 return member
+            del free[i]
         return None
 
     def _refresh_hot_set(self) -> None:

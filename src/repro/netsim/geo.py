@@ -8,6 +8,8 @@ India, Egypt, Turkey, Vietnam, Bangladesh, Pakistan, Indonesia and Algeria.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.netsim.ip import IPv4Address
@@ -34,7 +36,11 @@ class GeoDatabase:
         total = sum(weight for _, weight in default_mix)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"country mix weights must sum to 1, got {total}")
-        self._mix = list(default_mix)
+        # The draw's inputs, built once: every recruit draws a country.
+        self._countries = [country for country, _ in default_mix]
+        self._cum_weights = list(accumulate(weight for _, weight in default_mix))
+        self._total = self._cum_weights[-1] + 0.0
+        self._last = len(self._countries) - 1
         self._by_ip: Dict[IPv4Address, str] = {}
 
     def assign(self, address: IPv4Address, country: str) -> None:
@@ -44,13 +50,17 @@ class GeoDatabase:
     def country_of(self, address: IPv4Address) -> Optional[str]:
         return self._by_ip.get(address)
 
-    def sample_country(self, rng: random.Random,
-                       mix: Optional[Sequence[Tuple[str, float]]] = None) -> str:
-        """Draw a country from ``mix`` (or the default visitor mix)."""
-        chosen_mix = list(mix) if mix is not None else self._mix
-        countries = [c for c, _ in chosen_mix]
-        weights = [w for _, w in chosen_mix]
-        return rng.choices(countries, weights=weights, k=1)[0]
+    def sample_country(self, rng: random.Random) -> str:
+        """Draw a country from the visitor mix.
+
+        One ``rng.random()`` and a bisect over the cumulative weights
+        built at construction: exactly what
+        ``rng.choices(countries, weights=weights, k=1)[0]`` computes,
+        draw for draw, without rebuilding its inputs on every recruit.
+        """
+        return self._countries[bisect(self._cum_weights,
+                                      rng.random() * self._total,
+                                      0, self._last)]
 
     @staticmethod
     def top_country_share(countries: Sequence[str]) -> Tuple[str, float]:

@@ -31,9 +31,13 @@ from repro.sim.clock import MINUTE, SimClock
 AUTHORIZATION_CODE_LIFETIME = 10 * MINUTE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuthorizationRequest:
-    """The parameters the login button sends to the authorization server."""
+    """The parameters the login button sends to the authorization server.
+
+    Slotted and not frozen, like the other hot dataclasses: a membership
+    build constructs one request and one result per recruit.
+    """
 
     app_id: str
     redirect_uri: str
@@ -42,7 +46,7 @@ class AuthorizationRequest:
     state: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuthorizationResult:
     """Outcome of a completed authorization: the browser redirect.
 
@@ -135,9 +139,14 @@ class AuthorizationServer:
             raise ValueError(
                 f"unsupported response_type: {request.response_type!r}"
             )
-        for permission in request.scope.sensitive():
-            if not app.approved_permissions.contains(permission):
-                raise PermissionNotGrantedError(app.app_id, permission.value)
+        approved = app.approved_permissions
+        # Scopes are immutable, so a request for the app's own approved
+        # scope object (every network grant) cannot ask for more.
+        if request.scope is not approved:
+            for permission in request.scope.sensitive():
+                if not approved.contains(permission):
+                    raise PermissionNotGrantedError(app.app_id,
+                                                    permission.value)
         return app
 
     # ------------------------------------------------------------------

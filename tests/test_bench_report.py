@@ -4,8 +4,9 @@ The throughput guard matches a run to the reference entry of the same
 workload (seed, scale and day overrides) and fails below the floor; the
 build-scaling guard compares build accounts/s at the sweep's largest
 and smallest scales; the sanitizer guard holds the campaign-stage
-overhead, timed in interleaved untraced/traced pairs, to its budget.  ``main`` measures each scale once.  No study
-runs here.
+overhead, timed in interleaved untraced/traced pairs, to its budget.
+``main`` measures each scale once, and each sweep row reports the
+campaign's wave entries.  No study runs here.
 """
 
 import importlib.util
@@ -178,6 +179,28 @@ def test_sanitizer_guard_times_interleaved_pairs(monkeypatch):
 def test_sanitizer_guard_needs_a_sanitizer_section():
     with pytest.raises(GuardError, match="re-run with --sanitize"):
         bench_report.check_sanitizer_overhead({"current": {}})
+
+
+def test_sweep_rows_report_campaign_wave_entries():
+    # Each sweep row reports the campaign stage's wave entries and
+    # entries/s next to its rows/s: the wave_size histogram's campaign
+    # sum over the stage's seconds.
+    histogram = {"count": 5, "p50": 512, "p95": 2048, "p99": 2048}
+    payload = {
+        "scale": 0.01, "total_seconds": 30.0, "total_log_rows": 900,
+        "rows_per_second": 30.0,
+        "stages": {"campaign": {"seconds": 20.0, "events": 400,
+                                "events_per_second": 20.0,
+                                "event_unit": "api requests logged"}},
+        "wave_histograms": {"wave_size": {
+            "campaign": {**histogram, "sum": 3_000_000},
+            "milking": {**histogram, "sum": 7_000}}},
+    }
+    assert bench_report.campaign_entries(payload) == (3_000_000, 150_000.0)
+    text = bench_report.render({"current": payload, "sweep": [payload]})
+    assert "campaign 20 rows/s, 3,000,000 entries (150,000/s)" in text
+    # A payload without the histogram reads no entries.
+    assert bench_report.campaign_entries({"stages": {}}) == (0, 0.0)
 
 
 def test_sweep_reuses_the_current_measurement(tmp_path, monkeypatch):

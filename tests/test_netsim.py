@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.netsim.asn import AsRegistry
-from repro.netsim.geo import GeoDatabase
+from repro.netsim.geo import DEFAULT_COUNTRY_MIX, GeoDatabase
 from repro.netsim.ip import cidr_range, int_to_ip, ip_to_int
 from repro.netsim.pools import IpPoolAllocator
 
@@ -87,6 +87,19 @@ def test_geo_sampling_follows_mix():
     top, share = GeoDatabase.top_country_share(sample)
     assert top == "IN"
     assert 0.35 < share < 0.55
+
+
+def test_geo_sampling_is_the_weighted_choices_draw():
+    # The prebuilt cumulative weights draw exactly what rng.choices
+    # draws from the mix, and leave the generator in the same state.
+    geo = GeoDatabase()
+    countries = [country for country, _ in DEFAULT_COUNTRY_MIX]
+    weights = [weight for _, weight in DEFAULT_COUNTRY_MIX]
+    rng, twin = random.Random(2017), random.Random(2017)
+    for _ in range(20_000):
+        assert (geo.sample_country(rng)
+                == twin.choices(countries, weights=weights, k=1)[0])
+    assert rng.getstate() == twin.getstate()
 
 
 def test_geo_mix_must_sum_to_one():

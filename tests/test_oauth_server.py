@@ -3,6 +3,7 @@
 import pytest
 
 from repro.oauth.apps import AppSecuritySettings
+from repro.oauth.review import AppReviewProcess
 from repro.oauth.errors import (
     FlowDisabledError,
     InvalidAppSecretError,
@@ -154,6 +155,37 @@ def test_unapproved_sensitive_permission_rejected(world, user):
     )
     with pytest.raises(PermissionNotGrantedError):
         world.auth_server.authorize(request, user.account_id)
+
+
+def test_only_the_apps_own_scope_object_skips_the_permission_check(
+        world, app, user):
+    # A request carrying the app's approved scope object cannot ask for
+    # more than the app holds, so the server skips the sensitive loop
+    # for it.  Any other object is checked: another app's scope, and
+    # the app's own earlier scope once it has been replaced.
+    reader = world.apps.register(
+        "Reader", "https://reader.example/cb",
+        security=AppSecuritySettings(client_side_flow_enabled=True,
+                                     require_app_secret=False))
+    with pytest.raises(PermissionNotGrantedError):
+        world.auth_server.authorize(
+            _request(reader, scope=app.approved_permissions),
+            user.account_id)
+
+    earlier = app.approved_permissions
+    # The platform withdraws publish_actions; a review then approves
+    # manage_pages and hands the app a new scope object.
+    app.approved_permissions = PermissionScope.basic()
+    AppReviewProcess().submit(
+        app, PermissionScope({Permission.MANAGE_PAGES}), "page insights")
+    assert app.approved_permissions is not earlier
+    assert not app.approved_permissions.contains(Permission.PUBLISH_ACTIONS)
+    with pytest.raises(PermissionNotGrantedError):
+        world.auth_server.authorize(_request(app, scope=earlier),
+                                    user.account_id)
+    result = world.auth_server.authorize(
+        _request(app, scope=app.approved_permissions), user.account_id)
+    assert result.access_token.scope is app.approved_permissions
 
 
 def test_unsupported_response_type(world, app, user):

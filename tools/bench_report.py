@@ -98,6 +98,21 @@ def _wave_histograms(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def campaign_entries(payload: Dict[str, Any]) -> Tuple[int, float]:
+    """The campaign stage's delivery-wave entries and entries/s.
+
+    An entry is one sampled like or background charge in a wave; most
+    are charges that log no request row, so entries, not rows, are
+    what the stage's time follows (ROADMAP item 2).  The count is the
+    ``wave_size`` histogram's sum for the stage; a payload without one
+    reads 0.
+    """
+    entries = (payload.get("wave_histograms", {}).get("wave_size", {})
+               .get("campaign", {}).get("sum", 0))
+    seconds = payload["stages"].get("campaign", {}).get("seconds", 0.0)
+    return entries, (entries / seconds if seconds > 0 else 0.0)
+
+
 def run_benchmark(scale: float, seed: int,
                   milking_days: Optional[int] = None,
                   campaign_days: Optional[int] = None,
@@ -374,12 +389,14 @@ def render(document: Dict[str, Any]) -> str:
         for payload in sweep:
             build = payload["stages"].get("build", {})
             campaign = payload["stages"].get("campaign", {})
+            entries, entry_rate = campaign_entries(payload)
             lines.append(
                 f"  scale {payload['scale']:<6}  "
                 f"{payload['total_seconds']:>8.2f}s total  "
                 f"{payload['total_log_rows']:>9,} rows  "
                 f"build {build.get('events_per_second', 0.0):,.0f}/s  "
-                f"campaign {campaign.get('events_per_second', 0.0):,.0f}/s")
+                f"campaign {campaign.get('events_per_second', 0.0):,.0f} "
+                f"rows/s, {entries:,} entries ({entry_rate:,.0f}/s)")
     return "\n".join(lines)
 
 
