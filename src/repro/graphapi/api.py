@@ -15,7 +15,7 @@ Every request — successful or not — lands in the :class:`RequestLog`.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphapi.errors import (
@@ -29,7 +29,11 @@ from repro.graphapi.errors import (
     TransientApiError,
 )
 from repro.graphapi.log import RequestLog
-from repro.graphapi.ratelimit import PolicyEnforcer, RateLimitPolicy
+from repro.graphapi.ratelimit import (
+    PolicyEnforcer,
+    RateLimitPolicy,
+    drop_expired,
+)
 from repro.graphapi.request import (
     LIKE_ACTIONS,
     WRITE_ACTIONS,
@@ -482,11 +486,11 @@ class DeliveryWave:
                     del limiter._saturated_until[access_token]
                 events = limiter._events.get(access_token)
                 if events is None:
-                    events = limiter._events[access_token] = deque()
+                    events = limiter._events[access_token] = []
                 else:
                     horizon = now - limiter.window_seconds
-                    while events and events[0] <= horizon:
-                        events.popleft()
+                    if events and events[0] <= horizon:
+                        drop_expired(events, horizon)
                 adm._events[access_token] = events
                 room = limiter.limit - len(events)
                 if room <= 0:

@@ -7,9 +7,8 @@ and the AS blocklist for protected applications (§6.4).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.oauth.redact import redact_token
 from repro.sanitizer.trace import SANITIZER as _SANITIZER
@@ -23,12 +22,28 @@ DEFAULT_TOKEN_ACTIONS_PER_DAY = 600
 REDUCED_TOKEN_ACTIONS_PER_DAY = 40
 
 
+def drop_expired(events: List[int], horizon: int) -> None:
+    """Drop a window's leading events at or before ``horizon``.
+
+    The same left-to-right scan a ``popleft`` loop over a deque makes,
+    stopping at the first event past the horizon, then one slice
+    delete.  A window is a plain list: most keys hold zero or one
+    event, and an empty list costs 56 bytes where a deque costs 760.
+    """
+    count = 0
+    size = len(events)
+    while count < size and events[count] <= horizon:
+        count += 1
+    del events[:count]
+
+
 class SlidingWindowLimiter:
     """Counts events per key within a sliding time window.
 
-    ``allow(key, now)`` answers whether one more event fits under
-    ``limit``; ``hit(key, now)`` records the event.  Old timestamps are
-    evicted lazily per key.
+    ``try_acquire(key, now)`` checks and records one event under
+    ``limit``; ``hit(key, now)`` records one unconditionally.  Each
+    key's window is a list of timestamps, oldest first, whose expired
+    head is dropped lazily per key (:func:`drop_expired`).
     """
 
     #: The eviction memo, left out of the state: it is a same-timestamp
@@ -44,10 +59,10 @@ class SlidingWindowLimiter:
             raise ValueError(f"window must be positive, got {window_seconds}")
         self.limit = limit
         self.window_seconds = window_seconds
-        self._events: Dict[str, Deque[int]] = {}
+        self._events: Dict[str, List[int]] = {}
         # Saturation memo: key -> earliest time the key can admit again.
         # A rejected request records nothing, so while a key is saturated
-        # its deque is static and that time is exact — repeated rejects
+        # its window is static and that time is exact — repeated rejects
         # become one dict probe instead of an eviction pass.
         self._saturated_until: Dict[str, int] = {}
         # Eviction memo: keys already evicted at `_evict_now`.  Events
@@ -58,10 +73,10 @@ class SlidingWindowLimiter:
         self._evict_now = -1
         self._evicted: Set[str] = set()
 
-    def _evict(self, key: str, now: int) -> Deque[int]:
+    def _evict(self, key: str, now: int) -> List[int]:
         events = self._events.get(key)
         if events is None:
-            events = self._events[key] = deque()
+            events = self._events[key] = []
             return events
         if now != self._evict_now:
             self._evict_now = now
@@ -69,8 +84,8 @@ class SlidingWindowLimiter:
         elif key in self._evicted:
             return events
         horizon = now - self.window_seconds
-        while events and events[0] <= horizon:
-            events.popleft()
+        if events and events[0] <= horizon:
+            drop_expired(events, horizon)
         self._evicted.add(key)
         return events
 
@@ -84,7 +99,7 @@ class SlidingWindowLimiter:
         del self._saturated_until[key]
         return False
 
-    def mark_saturated(self, key: str, events: Deque[int]) -> None:
+    def mark_saturated(self, key: str, events: List[int]) -> None:
         """Memoize a full window: admits resume once the
         ``len(events) - limit + 1`` oldest events have expired."""
         self._saturated_until[key] = (events[len(events) - self.limit]
@@ -118,7 +133,7 @@ class SlidingWindowLimiter:
 
         With ``keys`` only those keys that hold any state (events or a
         saturation memo) are exported; without, every key is — empty
-        deques and memo-only keys included.  The transient
+        windows and memo-only keys included.  The transient
         same-timestamp eviction memo is deliberately not exported: it
         is only valid within the exporting process's current ``now``.
         """
@@ -142,12 +157,12 @@ class SlidingWindowLimiter:
             if events is None:
                 self._events.pop(key, None)
             else:
-                self._events[key] = deque(events)
+                self._events[key] = list(events)
             if until is None:
                 self._saturated_until.pop(key, None)
             else:
                 self._saturated_until[key] = until
-        # The adopted deques may be shorter than what the memo saw, so
+        # The adopted windows may be shorter than what the memo saw, so
         # force a fresh eviction pass on the next touch of any key.
         self._evict_now = -1
         self._evicted.clear()
@@ -357,7 +372,7 @@ class LikeWaveAdmitter:
     window cannot lose events mid-wave: its admission capacity ("room")
     is a single number computed once — saturation memo, eviction, limit
     — and every further admission for that key is a dict probe plus a
-    decrement.  Pending hits are appended to the deques in one bulk
+    decrement.  Pending hits are appended to the windows in one bulk
     :meth:`flush`, which leaves limiter state byte-identical to the
     equivalent per-request :meth:`PolicyEnforcer.admit_like` sequence
     (including the saturation memos that sequence would have set).
@@ -385,24 +400,24 @@ class LikeWaveAdmitter:
         self.token_only = day is None and week is None
         self._rooms: Dict[str, int] = {}
         self._pending: Dict[str, int] = {}
-        self._events: Dict[str, Deque[int]] = {}
+        self._events: Dict[str, List[int]] = {}
         self._day_rooms: Dict[str, int] = {}
         self._day_pending: Dict[str, int] = {}
-        self._day_events: Dict[str, Deque[int]] = {}
+        self._day_events: Dict[str, List[int]] = {}
         self._week_rooms: Dict[str, int] = {}
         self._week_pending: Dict[str, int] = {}
-        self._week_events: Dict[str, Deque[int]] = {}
+        self._week_events: Dict[str, List[int]] = {}
 
     def _room_of(self, limiter: SlidingWindowLimiter, key: str,
                  rooms: Dict[str, int],
-                 events_memo: Dict[str, Deque[int]]) -> int:
+                 events_memo: Dict[str, List[int]]) -> int:
         """First touch of ``key`` this wave: resolve its capacity.
 
         Eviction is inlined rather than routed through
         :meth:`SlidingWindowLimiter._evict`: a wave touches each key's
-        deque exactly once, so the limiter's same-timestamp eviction
-        memo could never hit here and the pops land in the identical
-        deque state."""
+        window exactly once, so the limiter's same-timestamp eviction
+        memo could never hit here, and :func:`drop_expired` leaves the
+        identical window."""
         now = self.now
         until = limiter._saturated_until.get(key)
         if until is not None:
@@ -412,11 +427,11 @@ class LikeWaveAdmitter:
             del limiter._saturated_until[key]
         events = limiter._events.get(key)
         if events is None:
-            events = limiter._events[key] = deque()
+            events = limiter._events[key] = []
         else:
             horizon = now - limiter.window_seconds
-            while events and events[0] <= horizon:
-                events.popleft()
+            if events and events[0] <= horizon:
+                drop_expired(events, horizon)
         events_memo[key] = events
         room = limiter.limit - len(events)
         if room <= 0:
@@ -427,12 +442,12 @@ class LikeWaveAdmitter:
         return room
 
     def _exhaust(self, limiter: SlidingWindowLimiter, key: str,
-                 rooms: Dict[str, int], events_memo: Dict[str, Deque[int]],
+                 rooms: Dict[str, int], events_memo: Dict[str, List[int]],
                  pending: Dict[str, int]) -> None:
         """First rejection after this wave consumed the key's room.
 
         Memoizes saturation exactly as :meth:`PolicyEnforcer.admit_like`
-        would at this point — where the deque would already contain the
+        would at this point — where the window would already contain the
         wave's hits, which here are still pending."""
         events = events_memo[key]
         count = pending.get(key, 0)
@@ -495,7 +510,7 @@ class LikeWaveAdmitter:
         return None
 
     def flush(self) -> None:
-        """Bulk-append the wave's admitted hits to the live deques."""
+        """Bulk-append the wave's admitted hits to the live windows."""
         now = self.now
         events = self._events
         for key, count in self._pending.items():

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Set
+from dataclasses import dataclass
+from typing import AbstractSet, FrozenSet
 
 
 class AccountStatus(enum.Enum):
@@ -15,13 +15,23 @@ class AccountStatus(enum.Enum):
     DELETED = "deleted"
 
 
-@dataclass
+#: The friend set of every account without friends, shared: almost no
+#: simulated account has one, and an empty set costs 216 bytes.
+NO_FRIENDS: FrozenSet[str] = frozenset()
+
+
+@dataclass(slots=True)
 class Account:
     """A platform user account.
 
     ``country`` drives the geolocation statistics of Table 2 / Table 5;
     ``is_honeypot`` marks the measurement accounts we control so analyses
-    can exclude them from membership estimates.
+    can exclude them from membership estimates.  ``friend_ids`` is the
+    shared :data:`NO_FRIENDS` until
+    :meth:`~repro.socialnet.platform.SocialPlatform.befriend` gives the
+    account a set of its own.  Slotted: a paper-scale study registers
+    about 1.7M accounts, and a slotted one sharing the empty friend set
+    is 105 bytes against 369 with a ``__dict__`` and a set of its own.
     """
 
     account_id: str
@@ -31,7 +41,7 @@ class Account:
     created_at: int = 0
     status: AccountStatus = AccountStatus.ACTIVE
     is_honeypot: bool = False
-    friend_ids: Set[str] = field(default_factory=set)
+    friend_ids: AbstractSet[str] = NO_FRIENDS
     follower_count: int = 0
 
     @property

@@ -122,11 +122,17 @@ class SocialPlatform:
     # Social graph
     # ------------------------------------------------------------------
     def befriend(self, a_id: str, b_id: str) -> None:
-        """Create a mutual friend edge."""
+        """Create a mutual friend edge.
+
+        An account's first friend replaces its empty friend set, which
+        is shared, with a set of its own."""
         a = self._require_account(a_id)
         b = self._require_account(b_id)
-        a.friend_ids.add(b_id)
-        b.friend_ids.add(a_id)
+        for account, friend_id in ((a, b_id), (b, a_id)):
+            if account.friend_ids:
+                account.friend_ids.add(friend_id)
+            else:
+                account.friend_ids = {friend_id}
 
     # ------------------------------------------------------------------
     # Write actions

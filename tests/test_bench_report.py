@@ -6,12 +6,13 @@ build-scaling guard compares build accounts/s at the sweep's largest
 and smallest scales; the sanitizer guard holds the campaign-stage
 overhead, timed in interleaved untraced/traced pairs, to its budget.
 ``main`` measures each scale once, and each sweep row reports the
-campaign's wave entries.  No study runs here.
+campaign's wave entries and the run's peak RSS.  No study runs here.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -188,7 +189,7 @@ def test_sweep_rows_report_campaign_wave_entries():
     histogram = {"count": 5, "p50": 512, "p95": 2048, "p99": 2048}
     payload = {
         "scale": 0.01, "total_seconds": 30.0, "total_log_rows": 900,
-        "rows_per_second": 30.0,
+        "rows_per_second": 30.0, "peak_rss_mb": 93.6,
         "stages": {"campaign": {"seconds": 20.0, "events": 400,
                                 "events_per_second": 20.0,
                                 "event_unit": "api requests logged"}},
@@ -199,6 +200,10 @@ def test_sweep_rows_report_campaign_wave_entries():
     assert bench_report.campaign_entries(payload) == (3_000_000, 150_000.0)
     text = bench_report.render({"current": payload, "sweep": [payload]})
     assert "campaign 20 rows/s, 3,000,000 entries (150,000/s)" in text
+    # The run's peak RSS is on the current line and on each sweep row.
+    current, *_, sweep_row = text.splitlines()
+    assert current.endswith("peak RSS 93.6 MiB):")
+    assert sweep_row.endswith("peak RSS 93.6 MiB")
     # A payload without the histogram reads no entries.
     assert bench_report.campaign_entries({"stages": {}}) == (0, 0.0)
 
@@ -214,7 +219,8 @@ def test_sweep_reuses_the_current_measurement(tmp_path, monkeypatch):
                  "events_per_second": 10.0}
         return {"scale": scale, **workload, "total_seconds": 1.0,
                 "rows_per_second": 10.0, "total_log_rows": 10,
-                "stages": {"build": build}, "wave_histograms": {}}
+                "peak_rss_mb": 50.0, "stages": {"build": build},
+                "wave_histograms": {}}
 
     monkeypatch.setattr(bench_report, "_measure", fake_measure)
     out = tmp_path / "bench.json"
@@ -224,3 +230,29 @@ def test_sweep_reuses_the_current_measurement(tmp_path, monkeypatch):
     document = json.loads(out.read_text())
     assert [entry["scale"] for entry in document["sweep"]] == [0.002, 0.03]
     assert document["sweep"][0] == document["current"]
+
+
+
+def test_each_run_records_its_peak_rss(monkeypatch):
+    """``run_benchmark`` reads the process's peak RSS (KiB on Linux)
+    once the study has run, and stores it in MiB."""
+    import repro.experiments.runner as runner
+    from repro.telemetry import TELEMETRY
+
+    usage = SimpleNamespace(ru_maxrss=0)
+
+    def fake_study(config, timer):
+        usage.ru_maxrss = 96_000
+
+    timer = SimpleNamespace(
+        counters={"build.accounts": 0, "build.log_rows": 0,
+                  "milking.log_rows": 0, "campaign.log_rows": 0},
+        stages={}, seconds=lambda name: 0.0)
+    monkeypatch.setattr(runner, "run_full_study", fake_study)
+    monkeypatch.setattr(bench_report.resource, "getrusage",
+                        lambda who: usage)
+    monkeypatch.setattr(TELEMETRY, "stages", timer)
+    # The run switches the process-global plane on: put its flag back.
+    monkeypatch.setattr(TELEMETRY, "enabled", TELEMETRY.enabled)
+    payload = bench_report.run_benchmark(scale=0.002, seed=2017)
+    assert payload["peak_rss_mb"] == 93.8

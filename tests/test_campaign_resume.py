@@ -183,7 +183,10 @@ def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
     part are refused instead of applied as a chain: ``repro-journal-v1``
     (whole-state checkpoints) and ``-v2`` (whole telemetry, charge
     counters and fault decisions, which applied as deltas would double
-    every counter)."""
+    every counter).  So is ``-v3``, whose checkpoints pickle accounts
+    and ledger sightings with a ``__dict__``: the slotted classes cannot
+    load them, and the store would read every such checkpoint as
+    missing and silently resume from an earlier day."""
     journal = tmp_path / "journal"
     crashed = _run_driver("--journal", journal, "--kill-day", 3)
     assert crashed.returncode == -signal.SIGKILL, (
@@ -191,8 +194,9 @@ def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
         f"{crashed.stderr[-2000:]}")
     meta_path = journal / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert meta["format"] == "repro-journal-v3"
-    for old_format in ("repro-journal-v1", "repro-journal-v2"):
+    assert meta["format"] == "repro-journal-v4"
+    for old_format in ("repro-journal-v1", "repro-journal-v2",
+                       "repro-journal-v3"):
         meta["format"] = old_format
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
 

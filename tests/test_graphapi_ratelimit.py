@@ -106,11 +106,11 @@ def test_enforcer_missing_ip_never_limited():
 
 def test_saturation_memo_survives_lazy_eviction():
     """Regression: the memo stays exact even after an unrelated read
-    evicts expired events from the key's deque mid-window.
+    evicts expired events from the key's window while it is saturated.
 
-    ``hit()`` records unconditionally, so a deque can hold more events
+    ``hit()`` records unconditionally, so a window can hold more events
     than ``limit``; the memo expiry is pinned to the event that must
-    expire before the key can admit again, not to the deque head.
+    expire before the key can admit again, not to the window's head.
     """
     limiter = SlidingWindowLimiter(limit=3, window_seconds=100)
     for t in (0, 10, 20, 30):  # one past the limit

@@ -3,10 +3,11 @@
 
 Every measured run is one :func:`run_benchmark` call: ``run_full_study``
 timed stage by stage (build, milking, campaign, detection, experiments)
-by the telemetry registry's ``StageTimer``, each in a fresh interpreter
-of its own, so scales and repeats share no heap.  ``--repeats N`` keeps
-the fastest of N runs per workload.  Comparing two trees is the job of
-``perfbench/`` (see ``perfbench/README.md``).
+by the telemetry registry's ``StageTimer``, with the run's peak RSS,
+each in a fresh interpreter of its own, so scales and repeats share no
+heap.  ``--repeats N`` keeps the fastest of N runs per workload.
+Comparing two trees is the job of ``perfbench/`` (see
+``perfbench/README.md``).
 
 Examples
 --------
@@ -34,6 +35,7 @@ import json
 import multiprocessing
 import os
 import platform
+import resource
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -122,9 +124,11 @@ def run_benchmark(scale: float, seed: int,
     The study records into ``TELEMETRY.stages`` with the telemetry
     plane on, so the payload carries deterministic wave-size and
     limiter-denial quantiles next to the timings; ``sanitize`` also
-    records the reprosan shadow trace.  Both planes are enabled and
-    never reset, so call this through :func:`_measure`, which gives
-    each run a fresh interpreter.
+    records the reprosan shadow trace.  ``peak_rss_mb`` is the
+    process's peak resident set size after the study.  Both planes are
+    enabled and never reset, and the peak is the process's, so call
+    this through :func:`_measure`, which gives each run a fresh
+    interpreter.
     """
     from repro.core.config import StudyConfig
     from repro.experiments.runner import run_full_study
@@ -142,6 +146,8 @@ def run_benchmark(scale: float, seed: int,
     timer = TELEMETRY.stages
     run_full_study(StudyConfig(scale=scale, seed=seed, **overrides),
                    timer=timer)
+    # Linux reports ru_maxrss in KiB.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     counters = timer.counters
     # The rows the experiments analyse: everything logged before them.
@@ -179,6 +185,7 @@ def run_benchmark(scale: float, seed: int,
         "total_seconds": round(total, 4),
         "total_log_rows": rows,
         "rows_per_second": round(rows / total, 1) if total > 0 else 0.0,
+        "peak_rss_mb": round(peak_rss_mb, 1),
         "stages": stages,
         "wave_histograms": _wave_histograms(TELEMETRY.snapshot()),
         "sanitize": sanitize,
@@ -359,7 +366,8 @@ def render(document: Dict[str, Any]) -> str:
     """Human-readable rendering of a benchmark document."""
     payload = document["current"]
     lines = [f"current ({payload['total_seconds']:.2f}s total, "
-             f"{payload['rows_per_second']:,.0f} rows/s):"]
+             f"{payload['rows_per_second']:,.0f} rows/s, "
+             f"peak RSS {payload['peak_rss_mb']:,.1f} MiB):"]
     for name, stage in payload["stages"].items():
         lines.append(
             f"  {name:<12} {stage['seconds']:>8.2f}s  "
@@ -396,7 +404,8 @@ def render(document: Dict[str, Any]) -> str:
                 f"{payload['total_log_rows']:>9,} rows  "
                 f"build {build.get('events_per_second', 0.0):,.0f}/s  "
                 f"campaign {campaign.get('events_per_second', 0.0):,.0f} "
-                f"rows/s, {entries:,} entries ({entry_rate:,.0f}/s)")
+                f"rows/s, {entries:,} entries ({entry_rate:,.0f}/s)  "
+                f"peak RSS {payload['peak_rss_mb']:,.1f} MiB")
     return "\n".join(lines)
 
 
