@@ -162,7 +162,6 @@ class CollusionNetwork:
         # Members whose tokens died, in drop order (a dict used as an
         # insertion-ordered set: the replenishment shuffle reads it).
         self.dead_members: Dict[str, None] = {}
-        self.member_countries: Dict[str, str] = {}
 
         # Hot-set sampling state (§6.1 adaptation): a sticky working set
         # of cached tokens the network prefers, refreshed daily.
@@ -265,12 +264,12 @@ class CollusionNetwork:
         member's account id."""
         if account_id is None:
             account_id = self.directory.draw_member(exclude=self.token_db)
-        country = self.world.platform.get_account(account_id).country
         if self.short_url_slug is not None:
+            country = self.world.platform.get_account(account_id).country
             self.world.shortener.click(
                 self.short_url_slug, referrer=self.domain, country=country)
         token_string = self._obtain_token(account_id)
-        self._store_member(account_id, token_string, country)
+        self._store_member(account_id, token_string)
         self.total_joins += 1
         return account_id
 
@@ -298,15 +297,13 @@ class CollusionNetwork:
         )
         return result.access_token.token
 
-    def _store_member(self, account_id: str, token_string: str,
-                      country: str) -> None:
+    def _store_member(self, account_id: str, token_string: str) -> None:
         self.dead_members.pop(account_id, None)
         if account_id not in self.token_db:
             self._member_index[account_id] = len(self._member_list)
             self._member_list.append(account_id)
             self._free_positions = None
         self.token_db[account_id] = token_string
-        self.member_countries[account_id] = country
 
     def _drop_member(self, account_id: str) -> None:
         """Remove a member whose token proved dead (swap-pop)."""

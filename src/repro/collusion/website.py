@@ -113,8 +113,7 @@ class CollusionWebsiteSession:
         validated = self.world.tokens.validate(token)
         if validated.user_id != self.user_id:
             raise WorkflowError("token does not belong to this user")
-        account = self.world.platform.get_account(self.user_id)
-        self.network._store_member(self.user_id, token, account.country)
+        self.network._store_member(self.user_id, token)
         self.network.total_joins += 1
         self._submitted = True
 

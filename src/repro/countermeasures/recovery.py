@@ -210,7 +210,7 @@ class CampaignRecovery:
         world = campaign.world
         config = campaign.config
         return {
-            "format": "repro-journal-v4",
+            "format": "repro-journal-v5",
             "seed": world.rng.master_seed,
             "scale": world.config.scale,
             "days": config.days,

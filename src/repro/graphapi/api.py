@@ -16,7 +16,7 @@ Every request — successful or not — lands in the :class:`RequestLog`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.graphapi.errors import (
     ApiTimeout,
@@ -58,12 +58,9 @@ from repro.telemetry.tracing import TRACER
 class GraphApi:
     """Authenticated API over a :class:`SocialPlatform`."""
 
-    #: Memo caches left out of the state: the IP->ASN memo is a cache
-    #: over static pools and the charge-token memo one over the token
-    #: store, whose objects keep their identity through a delta (see
-    #: TokenStore.apply_delta), so the deltas carry only the charge
-    #: counters.
-    _TRANSIENT = ("_asn_cache", "_charge_token_cache")
+    #: The memo left out of the state: the IP->ASN memo is a cache over
+    #: static pools, so the deltas carry only the charge counters.
+    _TRANSIENT = ("_asn_cache",)
 
     def __init__(self, clock: SimClock, platform: SocialPlatform,
                  apps: ApplicationRegistry, tokens: TokenStore,
@@ -87,11 +84,6 @@ class GraphApi:
         self.charge_counters: Dict[str, int] = {"likes": 0}
         # Source IPs are drawn from static pools, so IP->ASN memoizes well.
         self._asn_cache: Dict[str, Optional[int]] = {}
-        # The waves' token memo: access token -> (token, app, granted).
-        # Token objects are shared references, so the mutable validity
-        # bits (invalidated, expiry) are still checked on every entry.
-        self._charge_token_cache: Dict[
-            str, Tuple[AccessToken, Any, bool]] = {}
 
     # ------------------------------------------------------------------
     # Core dispatch
@@ -256,12 +248,12 @@ class GraphApi:
             like = self.platform.like_post(
                 user_id, str(params["post_id"]), via_app_id=app_id,
                 source_ip=ip)
-            return {"object_id": like.object_id, "liker_id": like.liker_id}
+            return {"object_id": like.target_id, "liker_id": like.actor_id}
         if action is ApiAction.LIKE_PAGE:
             like = self.platform.like_page(
                 user_id, str(params["page_id"]), via_app_id=app_id,
                 source_ip=ip)
-            return {"object_id": like.object_id, "liker_id": like.liker_id}
+            return {"object_id": like.target_id, "liker_id": like.actor_id}
         if action is ApiAction.COMMENT:
             comment = self.platform.comment_on_post(
                 user_id, str(params["post_id"]), str(params["text"]),
@@ -335,9 +327,11 @@ class DeliveryWave:
 
     Every entry in a wave shares one clock instant, one application and
     (for platform writes) one target post, so the per-request pipeline
-    of :meth:`GraphApi.execute` collapses: token/app/scope state is
-    memoized per wave (re-validated per entry, since a fault plan can
-    kill a token mid-wave), rate-limit windows become memoized
+    of :meth:`GraphApi.execute` collapses: each entry reads its token
+    (re-validated per entry, since a fault plan can kill a token
+    mid-wave), the app and the ``publish_actions`` grant are memoized
+    per wave on the token's app id and scope object, rate-limit
+    windows become memoized
     per-(key, wave-timestamp) capacity transitions via
     :class:`~repro.graphapi.ratelimit.LikeWaveAdmitter`, and log rows /
     limiter hits / charge counters land in bulk at :meth:`finish`.
@@ -353,10 +347,11 @@ class DeliveryWave:
     """
 
     __slots__ = (
-        "api", "now", "post_id", "_inj", "_admitter", "_token_cache",
-        "_peek", "_apps_get", "_policy", "_resolve", "_like_post",
+        "api", "now", "post_id", "_inj", "_admitter", "_token_of",
+        "_apps_get", "_policy", "_resolve", "_like_post",
         "_tokens", "_users", "_apps", "_ips", "_asns", "_outcomes",
-        "_charged", "_finished", "_last_app", "_proof_skip",
+        "_charged", "_finished", "_app_id", "_app", "_proof_skip",
+        "_scope", "_granted",
         "_attempts", "_denied_token", "_denied_ip", "_span",
     )
 
@@ -366,8 +361,8 @@ class DeliveryWave:
         self.post_id = post_id
         self._inj = api.faults
         self._admitter = api.enforcer.like_wave(self.now)
-        self._token_cache = api._charge_token_cache
-        self._peek = api.tokens.peek
+        # The token store's own dict lookup, as TokenStore.peek makes.
+        self._token_of = api.tokens._tokens.get
         self._apps_get = api.apps.get
         self._policy = api.policy
         self._resolve = api._resolve_asn
@@ -387,30 +382,29 @@ class DeliveryWave:
         self._denied_token = 0
         self._denied_ip = 0
         self._span = TRACER.begin("wave")
-        # Waves span one network whose members share an app, so the
-        # proof-requirement lookup memoizes on app identity.
-        self._last_app = None
+        # Waves span one network whose members share an app and its
+        # approved scope object, so the app (with its proof requirement)
+        # and the publish grant memoize on the last token's app id and
+        # scope (see _memo_app).
+        self._app_id = None
+        self._app = None
         self._proof_skip = False
+        self._scope = None
+        self._granted = False
 
     # ------------------------------------------------------------------
-    def _lookup(self, access_token: str):
-        """Resolve (token, app, granted) via the shared token memo;
-        ``None`` when the token is dead (validity bits re-checked per
-        call)."""
-        cached = self._token_cache.get(access_token)
-        if cached is None:
-            token = self._peek(access_token)
-            if (token is None or token.invalidated
-                    or token.is_expired(self.now)):
-                return None
-            app = self._apps_get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._token_cache[access_token] = (token, app, granted)
-            return token, app, granted
-        token, app, granted = cached
-        if token.invalidated or self.now >= token.expires_at:
-            return None
-        return cached
+    def _memo_app(self, token: AccessToken) -> None:
+        """Memoize ``token``'s app, whether that app skips the proof,
+        and whether ``token``'s scope grants ``publish_actions``."""
+        app_id = token.app_id
+        if app_id != self._app_id:
+            self._app_id = app_id
+            app = self._app = self._apps_get(app_id)
+            self._proof_skip = not app.security.require_app_secret
+        scope = token.scope
+        if scope is not self._scope:
+            self._scope = scope
+            self._granted = scope.contains(Permission.PUBLISH_ACTIONS)
 
     def charge(self, access_token: str,
                source_ip: Optional[str] = None) -> Optional[str]:
@@ -430,8 +424,8 @@ class DeliveryWave:
 
         This is the single hottest call in a campaign (millions of
         background charges per simulated day, most of them rejected once
-        the §6.1 budget saturates), so the lookup and the token-only
-        admission are fully inlined."""
+        the §6.1 budget saturates), so the token-only admission is fully
+        inlined."""
         self._attempts += 1
         inj = self._inj
         if inj is not None:
@@ -444,30 +438,20 @@ class DeliveryWave:
                 self._denied_token += 1
                 return "token_limit"
         now = self.now
-        cached = self._token_cache.get(access_token)
-        if cached is None:
-            token = self._peek(access_token)
-            if (token is None or token.invalidated
-                    or token.is_expired(now)):
-                return "invalid_token"
-            app = self._apps_get(token.app_id)
-            granted = token.grants(Permission.PUBLISH_ACTIONS)
-            self._token_cache[access_token] = (token, app, granted)
-        else:
-            token, app, granted = cached
-            if token.invalidated or now >= token.expires_at:
-                return "invalid_token"
-        if app is not self._last_app:
-            self._last_app = app
-            self._proof_skip = not app.security.require_app_secret
+        token = self._token_of(access_token)
+        if token is None or token.invalidated or now >= token.expires_at:
+            return "invalid_token"
+        if token.app_id != self._app_id or token.scope is not self._scope:
+            self._memo_app(token)
         if not self._proof_skip:
-            if not verify_appsecret_proof(app.secret, access_token, ""):
+            if not verify_appsecret_proof(self._app.secret, access_token,
+                                          ""):
                 return "app_secret"
-        if not granted:
+        if not self._granted:
             return "permission"
         policy = self._policy
         if policy.blocked_asns_by_app:
-            if policy.is_as_blocked(app.app_id, self._resolve(source_ip)):
+            if policy.is_as_blocked(token.app_id, self._resolve(source_ip)):
                 return "blocked"
         adm = self._admitter
         if adm.token_only:
@@ -551,26 +535,29 @@ class DeliveryWave:
                 push_outcome(RateLimitExceededError.code)
                 self._denied_token += 1
                 return "token_limit"
-        resolved = self._lookup(access_token)
+        token = self._token_of(access_token)
         asn = self._resolve(source_ip)
         push_token(access_token)
         push_ip(source_ip)
         push_asn(asn)
-        if resolved is None:
+        if (token is None or token.invalidated
+                or self.now >= token.expires_at):
             push_user(None)
             push_app(None)
             push_outcome("invalid_token")
             return "invalid_token"
-        token, app, granted = resolved
         user_id = token.user_id
         app_id = token.app_id
         push_user(user_id)
         push_app(app_id)
-        if app.security.require_app_secret:
-            if not verify_appsecret_proof(app.secret, access_token, ""):
+        if app_id != self._app_id or token.scope is not self._scope:
+            self._memo_app(token)
+        if not self._proof_skip:
+            if not verify_appsecret_proof(self._app.secret, access_token,
+                                          ""):
                 push_outcome(AppSecretRequiredError.code)
                 return "app_secret"
-        if not granted:
+        if not self._granted:
             push_outcome(PermissionDeniedError.code)
             return "permission"
         policy = self._policy
@@ -587,8 +574,7 @@ class DeliveryWave:
             self._denied_ip += 1
             return "ip_limit"
         try:
-            self._like_post(user_id, self.post_id, via_app_id=app_id,
-                            source_ip=source_ip)
+            self._like_post(user_id, self.post_id, app_id, source_ip)
         except SocialNetworkError:
             push_outcome("platform_error")
             return "platform_error"

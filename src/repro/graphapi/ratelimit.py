@@ -111,8 +111,17 @@ class SlidingWindowLimiter:
         """Events currently counted against ``key``."""
         return len(self._evict(key, now))
 
+    def _record(self, key: str, events: List[int], now: int) -> None:
+        """Add ``now`` to ``key``'s window ``events``.  An empty window
+        becomes ``[now]`` (64 bytes) rather than grow by an append (88):
+        most windows hold one event."""
+        if events:
+            events.append(now)
+        else:
+            self._events[key] = [now]
+
     def hit(self, key: str, now: int) -> None:
-        self._evict(key, now).append(now)
+        self._record(key, self._evict(key, now), now)
 
     def try_acquire(self, key: str, now: int) -> bool:
         """Atomically check-and-record; True if the event was admitted."""
@@ -122,7 +131,7 @@ class SlidingWindowLimiter:
         if len(events) >= self.limit:
             self.mark_saturated(key, events)
             return False
-        events.append(now)
+        self._record(key, events, now)
         return True
 
     # ------------------------------------------------------------------
@@ -281,9 +290,9 @@ class PolicyEnforcer:
                     week.mark_saturated(source_ip, week_events)
                     return "weekly"
             if day_events is not None:
-                day_events.append(now)
+                day._record(source_ip, day_events, now)
             if week_events is not None:
-                week_events.append(now)
+                week._record(source_ip, week_events, now)
         limiter = self._token_limiter
         if limiter.saturated(token, now):
             return "token"
@@ -291,7 +300,7 @@ class PolicyEnforcer:
         if len(events) >= limiter.limit:
             limiter.mark_saturated(token, events)
             return "token"
-        events.append(now)
+        limiter._record(token, events, now)
         return None
 
     # ------------------------------------------------------------------
@@ -510,15 +519,16 @@ class LikeWaveAdmitter:
         return None
 
     def flush(self) -> None:
-        """Bulk-append the wave's admitted hits to the live windows."""
+        """Bulk-append the wave's admitted hits to the live windows; an
+        empty window becomes an exact-size list of them."""
         now = self.now
-        events = self._events
-        for key, count in self._pending.items():
-            events[key].extend((now,) * count)
-        if not self.token_only:
-            day_events = self._day_events
-            for key, count in self._day_pending.items():
-                day_events[key].extend((now,) * count)
-            week_events = self._week_events
-            for key, count in self._week_pending.items():
-                week_events[key].extend((now,) * count)
+        for limiter, events_memo, pending in (
+                (self._token_limiter, self._events, self._pending),
+                (self._day, self._day_events, self._day_pending),
+                (self._week, self._week_events, self._week_pending)):
+            for key, count in pending.items():
+                events = events_memo[key]
+                if events:
+                    events.extend((now,) * count)
+                else:
+                    limiter._events[key] = [now] * count

@@ -47,7 +47,7 @@ class TimelineCrawler:
             start = self._like_cursor.get(post_id, 0)
             for like in post.likes[start:]:
                 self._ledger.observe(
-                    like.liker_id, honeypot.network_domain,
+                    like.actor_id, honeypot.network_domain,
                     like.created_at, day, app_id=like.via_app_id)
                 new_likes += 1
             self._like_cursor[post_id] = len(post.likes)

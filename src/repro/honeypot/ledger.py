@@ -10,7 +10,7 @@ from here (§6.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 @dataclass(slots=True)
@@ -20,8 +20,9 @@ class Observation:
     The networks the account acted for are a tuple in first-sighting
     order, read as a set through :attr:`networks`: almost every account
     acts for one network, and a 1-tuple costs 48 bytes where a set
-    costs 216.  Slotted, like the platform's accounts, for the same
-    reason: the ledger holds one per milked member.
+    costs 216.  ``seen_day`` is the day of the latest sighting.
+    Slotted, like the platform's accounts, for the same reason: the
+    ledger holds one per milked member.
     """
 
     account_id: str
@@ -29,7 +30,14 @@ class Observation:
     first_seen: int
     last_seen: int
     network_order: Tuple[str, ...]
+    seen_day: int
     sightings: int = 1
+
+    def __reduce__(self):
+        # A field tuple, as ActivityRecord: checkpoints ship the ledger.
+        return (Observation, (
+            self.account_id, self.app_id, self.first_seen, self.last_seen,
+            self.network_order, self.seen_day, self.sightings))
 
     @property
     def networks(self) -> FrozenSet[str]:
@@ -43,7 +51,9 @@ class MilkedTokenLedger:
     def __init__(self) -> None:
         self._observations: Dict[str, Observation] = {}
         self._new_by_day: Dict[int, List[str]] = {}
-        self._seen_by_day: Dict[int, Set[str]] = {}
+        #: day -> the accounts sighted that day, each at its first
+        #: sighting of the day (Observation.seen_day): no set per day.
+        self._seen_by_day: Dict[int, List[str]] = {}
 
     def __len__(self) -> int:
         return len(self._observations)
@@ -51,18 +61,17 @@ class MilkedTokenLedger:
     def observe(self, account_id: str, network: str, timestamp: int,
                 day: int, app_id: Optional[str] = None) -> Observation:
         """Record a sighting of ``account_id`` acting for ``network``."""
-        seen = self._seen_by_day.get(day)
-        if seen is None:
-            seen = self._seen_by_day[day] = set()
-        seen.add(account_id)
         obs = self._observations.get(account_id)
         if obs is None:
-            obs = Observation(account_id=account_id, app_id=app_id,
-                              first_seen=timestamp, last_seen=timestamp,
-                              network_order=(network,))
+            obs = Observation(account_id, app_id, timestamp, timestamp,
+                              (network,), day)
             self._observations[account_id] = obs
             self._new_by_day.setdefault(day, []).append(account_id)
+            self._seen_by_day.setdefault(day, []).append(account_id)
         else:
+            if obs.seen_day != day:
+                obs.seen_day = day
+                self._seen_by_day.setdefault(day, []).append(account_id)
             obs.last_seen = max(obs.last_seen, timestamp)
             if network not in obs.network_order:
                 obs.network_order += (network,)
@@ -95,8 +104,10 @@ class MilkedTokenLedger:
         This is the token-level view of "newly observed": an account that
         was milked before, had its token invalidated, and re-joined with a
         fresh token shows up here again on the day the fresh token acts.
+        A day lists an account twice only if sightings left the day and
+        came back to it, hence the set.
         """
-        return sorted(self._seen_by_day.get(day, ()))
+        return sorted(set(self._seen_by_day.get(day, ())))
 
     def observed_until(self, day: int) -> List[str]:
         """Accounts first seen on or before ``day``."""

@@ -84,7 +84,9 @@ class TokenStore:
     def __init__(self, clock: SimClock) -> None:
         self._clock = clock
         self._tokens: Dict[str, AccessToken] = {}
-        self._by_user_app: Dict[tuple, str] = {}
+        #: app id -> user id -> latest token string: no key tuple per
+        #: grant, as a study's grants are few apps by many users.
+        self._by_app: Dict[str, Dict[str, str]] = {}
         self._counter = 0
         #: Every token whose invalidated flag flipped, in flip order.
         self._flips: List[AccessToken] = []
@@ -117,15 +119,16 @@ class TokenStore:
             issued_at=now,
             expires_at=now + lifetime.seconds,
         )
-        previous = self._by_user_app.get((user_id, app_id))
-        if previous is not None and previous in self._tokens:
+        by_user = self._by_app.setdefault(app_id, {})
+        previous = by_user.get(user_id)
+        if previous is not None:
             old = self._tokens[previous]
             if old.is_valid(now):
                 old.invalidated = True
                 old.invalidation_reason = "superseded"
                 self._flips.append(old)
         self._tokens[token.token] = token
-        self._by_user_app[(user_id, app_id)] = token.token
+        by_user[user_id] = token.token
         return token
 
     def validate(self, token_string: str) -> AccessToken:
@@ -216,7 +219,7 @@ class TokenStore:
                 token=token, user_id=user_id, app_id=app_id, scope=scope,
                 issued_at=issued_at, expires_at=expires_at,
                 invalidated=invalidated, invalidation_reason=reason)
-            self._by_user_app[(user_id, app_id)] = token
+            self._by_app.setdefault(app_id, {})[user_id] = token
 
     def live_tokens_for_app(self, app_id: str) -> List[AccessToken]:
         now = self._clock.now()
@@ -225,7 +228,7 @@ class TokenStore:
 
     def live_token_for(self, user_id: str, app_id: str) -> Optional[AccessToken]:
         """The currently-valid token for (user, app), if any."""
-        token_string = self._by_user_app.get((user_id, app_id))
+        token_string = self._by_app.get(app_id, {}).get(user_id)
         if token_string is None:
             return None
         token = self._tokens[token_string]

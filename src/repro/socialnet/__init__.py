@@ -8,7 +8,7 @@ observable downstream.
 """
 
 from repro.socialnet.account import Account, AccountStatus
-from repro.socialnet.post import Post, Like, Comment
+from repro.socialnet.post import Post, Comment
 from repro.socialnet.page import Page
 from repro.socialnet.activity import ActivityRecord, ActivityLog
 from repro.socialnet.platform import SocialPlatform
@@ -25,7 +25,6 @@ __all__ = [
     "Account",
     "AccountStatus",
     "Post",
-    "Like",
     "Comment",
     "Page",
     "ActivityRecord",

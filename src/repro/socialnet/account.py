@@ -36,13 +36,19 @@ class Account:
 
     account_id: str
     name: str
-    email: str
     country: str = "US"
     created_at: int = 0
     status: AccountStatus = AccountStatus.ACTIVE
     is_honeypot: bool = False
     friend_ids: AbstractSet[str] = NO_FRIENDS
     follower_count: int = 0
+
+    def __reduce__(self):
+        # A field tuple, as ActivityRecord: day deltas ship new accounts.
+        return (Account, (
+            self.account_id, self.name, self.country, self.created_at,
+            self.status, self.is_honeypot, self.friend_ids,
+            self.follower_count))
 
     @property
     def is_active(self) -> bool:

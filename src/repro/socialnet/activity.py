@@ -19,7 +19,10 @@ class ActivityRecord:
     """One action performed by an account.
 
     ``verb`` is one of ``like``, ``comment`` or ``post``; ``target_kind``
-    distinguishes likes on posts from likes on pages.
+    distinguishes likes on posts from likes on pages, and the liked
+    post or page holds the ``like`` record itself.  ``via_app_id`` (the
+    acting app, ``None`` if first-party) and ``source_ip`` are the two
+    fingerprints the countermeasures of §6 key on.
     """
 
     actor_id: str

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.socialnet.post import Like
+from repro.socialnet.activity import ActivityRecord
 
 
 @dataclass
@@ -16,8 +16,9 @@ class Page:
     name: str
     owner_id: str
     created_at: int = 0
-    likes: List[Like] = field(default_factory=list)
-    _likers: Dict[str, Like] = field(default_factory=dict, repr=False)
+    likes: List[ActivityRecord] = field(default_factory=list)
+    _likers: Dict[str, ActivityRecord] = field(default_factory=dict,
+                                               repr=False)
 
     @property
     def like_count(self) -> int:
@@ -26,6 +27,6 @@ class Page:
     def liked_by(self, account_id: str) -> bool:
         return account_id in self._likers
 
-    def add_like(self, like: Like) -> None:
+    def add_like(self, like: ActivityRecord) -> None:
         self.likes.append(like)
-        self._likers[like.liker_id] = like
+        self._likers[like.actor_id] = like

@@ -23,7 +23,7 @@ from repro.socialnet.errors import (
     UnknownPostError,
 )
 from repro.socialnet.page import Page
-from repro.socialnet.post import Comment, Like, Post
+from repro.socialnet.post import Comment, Post
 
 
 def _tail(registry: Dict[str, object], count: int) -> list:
@@ -59,14 +59,13 @@ class SocialPlatform:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register_account(self, name: str, email: str = "", country: str = "US",
+    def register_account(self, name: str, country: str = "US",
                          is_honeypot: bool = False) -> Account:
         """Create a new active account and return it."""
         account_id = self.ids.next("acct")
         account = Account(
             account_id=account_id,
             name=name,
-            email=email or f"{account_id.replace(':', '')}@example.com",
             country=country,
             created_at=self.clock.now(),
             is_honeypot=is_honeypot,
@@ -158,44 +157,35 @@ class SocialPlatform:
 
     def like_post(self, liker_id: str, post_id: str,
                   via_app_id: Optional[str] = None,
-                  source_ip: Optional[str] = None) -> Like:
-        """Like a post on behalf of ``liker_id``."""
+                  source_ip: Optional[str] = None) -> ActivityRecord:
+        """Like a post on behalf of ``liker_id``.
+
+        The like is its activity record: one object, held by the post
+        and by the activity log."""
         self._require_active(liker_id)
         post = self.get_post(post_id)
         if post.liked_by(liker_id):
             raise DuplicateLikeError(liker_id, post_id)
-        now = self.clock.now()
-        like = Like(liker_id=liker_id, object_id=post_id,
-                    created_at=now, via_app_id=via_app_id,
-                    source_ip=source_ip)
+        like = ActivityRecord(liker_id, "like", post_id, "post",
+                              post.author_id, self.clock.now(),
+                              via_app_id, source_ip)
         post.add_like(like)
-        self.activity_log.record(ActivityRecord(
-            actor_id=liker_id, verb="like", target_id=post_id,
-            target_kind="post", target_owner_id=post.author_id,
-            created_at=now, via_app_id=via_app_id,
-            source_ip=source_ip,
-        ))
+        self.activity_log.record(like)
         return like
 
     def like_page(self, liker_id: str, page_id: str,
                   via_app_id: Optional[str] = None,
-                  source_ip: Optional[str] = None) -> Like:
-        """Like (become a fan of) a page."""
+                  source_ip: Optional[str] = None) -> ActivityRecord:
+        """Like (become a fan of) a page, as :meth:`like_post`."""
         self._require_active(liker_id)
         page = self.get_page(page_id)
         if page.liked_by(liker_id):
             raise DuplicateLikeError(liker_id, page_id)
-        now = self.clock.now()
-        like = Like(liker_id=liker_id, object_id=page_id,
-                    created_at=now, via_app_id=via_app_id,
-                    source_ip=source_ip)
+        like = ActivityRecord(liker_id, "like", page_id, "page",
+                              page.owner_id, self.clock.now(),
+                              via_app_id, source_ip)
         page.add_like(like)
-        self.activity_log.record(ActivityRecord(
-            actor_id=liker_id, verb="like", target_id=page_id,
-            target_kind="page", target_owner_id=page.owner_id,
-            created_at=now, via_app_id=via_app_id,
-            source_ip=source_ip,
-        ))
+        self.activity_log.record(like)
         return like
 
     def comment_on_post(self, author_id: str, post_id: str, text: str,
@@ -232,16 +222,17 @@ class SocialPlatform:
     def remove_like(self, post_id: str, liker_id: str) -> bool:
         """Remove a fake like (the clean-up step of §6); True if removed.
 
-        The one write that leaves an activity record without its like,
-        so :meth:`export_delta` cannot count the likes gained since a
-        mark across it.  Only the clean-up pass
+        The one write that takes a like off its post but leaves its
+        record in the activity log, so :meth:`export_delta` cannot
+        count the likes gained since a mark across it.  Only the
+        clean-up pass
         (:class:`~repro.countermeasures.cleanup.EngagementCleaner`)
         calls it, and never on a campaign day.
         """
         post = self.get_post(post_id)
         if not post.liked_by(liker_id):
             return False
-        post.likes = [lk for lk in post.likes if lk.liker_id != liker_id]
+        post.likes = [lk for lk in post.likes if lk.actor_id != liker_id]
         del post._likers[liker_id]
         return True
 
@@ -252,9 +243,9 @@ class SocialPlatform:
     # rebuilds deterministically; each day checkpoint carries only the
     # growth beyond the previous day's mark.  Registries are
     # insertion-ordered dicts, so what was registered since a count is
-    # a tail, and every like and comment writes exactly one activity
-    # record, so the activity since the mark names the engagement that
-    # earlier posts and pages gained.
+    # a tail, and every like is an activity record and every comment
+    # writes exactly one, so the activity since the mark names the
+    # engagement that earlier posts and pages gained.
     def mark(self) -> Dict[str, int]:
         """Sizes of the three registries and the activity log's mark."""
         return {

@@ -183,10 +183,12 @@ def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
     part are refused instead of applied as a chain: ``repro-journal-v1``
     (whole-state checkpoints) and ``-v2`` (whole telemetry, charge
     counters and fault decisions, which applied as deltas would double
-    every counter).  So is ``-v3``, whose checkpoints pickle accounts
-    and ledger sightings with a ``__dict__``: the slotted classes cannot
-    load them, and the store would read every such checkpoint as
-    missing and silently resume from an earlier day."""
+    every counter).  So are ``-v3``, whose checkpoints pickle accounts
+    and ledger sightings with a ``__dict__``, and ``-v4``, whose
+    checkpoints pickle ``Like`` objects beside the activity records and
+    accounts with an ``email`` slot: neither loads here, and the store
+    would read every such checkpoint as missing and silently resume
+    from an earlier day."""
     journal = tmp_path / "journal"
     crashed = _run_driver("--journal", journal, "--kill-day", 3)
     assert crashed.returncode == -signal.SIGKILL, (
@@ -194,9 +196,9 @@ def test_a_journal_of_whole_state_checkpoints_is_refused(tmp_path):
         f"{crashed.stderr[-2000:]}")
     meta_path = journal / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    assert meta["format"] == "repro-journal-v4"
+    assert meta["format"] == "repro-journal-v5"
     for old_format in ("repro-journal-v1", "repro-journal-v2",
-                       "repro-journal-v3"):
+                       "repro-journal-v3", "repro-journal-v4"):
         meta["format"] = old_format
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
 

@@ -13,9 +13,10 @@ only the order of flipped tokens and touched posts and pages differs.
 The campaign test runs days under a plan that invalidates tokens
 mid-flight and re-joins a live member through the site's install flow,
 which supersedes two tokens: one issued before the day's mark and one
-issued that day.  The engagement-record pickling that checkpoints and
-shard deltas rely on, and the guard against a like removed behind the
-activity log's back, are pinned here too.
+issued that day.  The field-tuple pickling of engagement records,
+accounts and ledger sightings that checkpoints and shard deltas rely
+on, and the guard against a like removed behind the activity log's
+back, are pinned here too.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from repro.countermeasures.campaign import (
     CountermeasureCampaign,
 )
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.honeypot.ledger import Observation
 from repro.oauth.scopes import Permission, PermissionScope
 from repro.oauth.tokens import TokenLifetime, TokenStore
 from repro.sim.clock import DAY, HOUR, SimClock
+from repro.socialnet.account import Account, AccountStatus
 from repro.socialnet.activity import ActivityRecord
 from repro.socialnet.platform import SocialPlatform
-from repro.socialnet.post import Comment, Like
+from repro.socialnet.post import Comment
 
 # ----------------------------------------------------------------------
 # The references: the walk-based marks and deltas.
@@ -250,7 +253,7 @@ _TOKEN_STEPS = st.lists(st.one_of(
 
 def _token_rows(store):
     return ([astuple(token) for token in store._tokens.values()],
-            store._by_user_app, store._counter)
+            store._by_app, store._counter)
 
 
 def _assert_deltas_match(store, marks):
@@ -369,19 +372,24 @@ def test_export_delta_refuses_a_like_removed_since_the_mark():
 
 
 # ----------------------------------------------------------------------
-# Engagement records pickle as (class, field tuple).
+# Engagement records, accounts and ledger sightings pickle as (class,
+# field tuple).
 # ----------------------------------------------------------------------
 
 _RECORDS = [
     ActivityRecord("acct:1", "like", "post:2", "post", "acct:3", 100),
     ActivityRecord("acct:1", "comment", "post:2", "post", "acct:3", 100,
                    via_app_id="app:9", source_ip="10.0.0.1"),
-    Like("acct:1", "page:4", 200),
-    Like("acct:1", "post:2", 200, via_app_id="app:9",
-         source_ip="10.0.0.1"),
     Comment("comment:5", "acct:1", "post:2", "nice", 300),
     Comment("comment:5", "acct:1", "post:2", "nice", 300,
             via_app_id="app:9", source_ip="10.0.0.1"),
+    Account("acct:1", "Colluding User 1"),
+    Account("acct:2", "Honeypot", country="IN", created_at=400,
+            status=AccountStatus.SUSPENDED, is_honeypot=True,
+            friend_ids={"acct:1"}, follower_count=7),
+    Observation("acct:1", None, 500, 500, ("net.a",), 0),
+    Observation("acct:1", "app:9", 500, 900, ("net.a", "net.b"), 3,
+                sightings=4),
 ]
 
 

@@ -68,12 +68,12 @@ def _network(size, hot_size, reuse_bias, seed):
     network.install_state({
         "rng": random.Random(seed),
         "token_db": {}, "_member_list": [], "_member_index": {},
-        "dead_members": {}, "member_countries": {},
+        "dead_members": {},
         "_hot_members": pool[:hot_size], "_uniform_mode": not hot_size,
         "_reuse_bias": reuse_bias,
     })
     for member in pool:
-        network._store_member(member, f"token:{member}", "IN")
+        network._store_member(member, f"token:{member}")
     return network
 
 
@@ -131,8 +131,8 @@ def test_sweep_picks_what_the_linear_walk_picks(size, hot_size, reuse_bias,
         if member is None:
             member = f"member:{joined}"
             joined += 1
-        network._store_member(member, f"token:{member}", "IN")
-        twin._store_member(member, f"token:{member}", "IN")
+        network._store_member(member, f"token:{member}")
+        twin._store_member(member, f"token:{member}")
 
     used = set()
     for op, value in steps:

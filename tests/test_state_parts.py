@@ -258,6 +258,7 @@ def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
     # back, except the caches each class lists in _TRANSIENT.
     planes = {"telemetry": TELEMETRY, "sanitizer": SANITIZER}
     with _planes_on():
+        empty = {name: plane.mark() for name, plane in planes.items()}
         source = _campaign()
         marks = mark_parts(source)
         base_rows = len(source.world.api.log)
@@ -270,8 +271,11 @@ def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
             marks = mark_parts(source)
         rows = source.world.api.log.export_rows(base_rows)
         chain = [store.load(f"day-{day:05d}") for day in range(1, 10)]
-        # The planes are process-global: keep the source's copy aside
-        # while the twin is built under fresh ones.
+        # The planes are process-global: ship the source's contents out
+        # through their own delta protocol while the twin is built under
+        # fresh ones, and keep a copy to compare the twin's planes with.
+        shipped = {name: plane.export_delta(empty[name])
+                   for name, plane in planes.items()}
         saved = {name: copy.deepcopy(plane)
                  for name, plane in planes.items()}
         for plane in planes.values():
@@ -294,10 +298,11 @@ def test_day_checkpoint_round_trips_into_a_rebuilt_twin(tmp_path):
         assert not differ.paths, differ.paths
 
         # Both twins run the last three days the same way; the source
-        # runs on with its own planes put back.
+        # runs on with its own contents put back into the planes.
         twin_end = _run_days(twin, range(10, 13))
         for name, plane in planes.items():
-            vars(plane).update(vars(saved[name]))
+            plane.reset()
+            plane.apply_delta(shipped[name])
         assert _run_days(source, range(10, 13)) == twin_end
 
 
@@ -319,7 +324,7 @@ def _platform_objects(delta):
         comments += post_comments
     for _page_id, page_likes in delta["touched_pages"]:
         likes += page_likes
-    keys += [("like", like.liker_id, like.object_id) for like in likes]
+    keys += [("like", like.actor_id, like.target_id) for like in likes]
     keys += [("comment", comment.comment_id) for comment in comments]
     keys += [("activity", astuple(record)) for record in delta["activity"]]
     return keys
